@@ -143,17 +143,13 @@ stage_zoo() {
     for m in $models; do
         echo "--- analyze $m ---"
         $CLI analyze "$m" --json > /dev/null
-        # End-to-end inference through the arena-backed executor, across
-        # the full scheduling × lowering matrix: serial and wavefront, each
-        # on the register-machine tape (SOD2_TAPE=1, the default) and the
-        # tree-walking interpreter (SOD2_TAPE=0).
-        for tape in 1 0; do
-            SOD2_TAPE=$tape SOD2_WAVEFRONT=0 $CLI run "$m" > /dev/null
-            SOD2_TAPE=$tape SOD2_WAVEFRONT=1 $CLI run "$m" > /dev/null
-        done
+        # End-to-end inference on the arena-backed tape, serial and
+        # wavefront.
+        SOD2_WAVEFRONT=0 $CLI run "$m" > /dev/null
+        SOD2_WAVEFRONT=1 $CLI run "$m" > /dev/null
         count=$((count + 1))
     done
-    echo "analyzed + ran $count models (serial + wavefront, tape + tree-walk)"
+    echo "analyzed + ran $count models (serial + wavefront)"
     # Profile one model end-to-end: the Chrome trace must be written and the
     # kernel spans must cover the inference wall time (checked in tests;
     # here we just require the command to succeed).
@@ -211,16 +207,12 @@ stage_chaos() {
     # (plus the deadline/budget hardening paths) must end in a typed error
     # or a recovered inference, and the engine must stay reusable with
     # bitwise-identical outputs. Any WEDGED/PANICKED/unexpected cell exits
-    # non-zero. Run across the full scheduling × lowering matrix: the
-    # hardening paths must hold under wavefront execution and on the
-    # register-machine tape (SOD2_TAPE=1, the default) as well as the
-    # tree-walking interpreter (SOD2_TAPE=0).
-    for tape in 1 0; do
-        echo "--- chaos (serial, tape=$tape) ---"
-        SOD2_TAPE=$tape SOD2_WAVEFRONT=0 $CLI chaos --all --seed 42
-        echo "--- chaos (wavefront, tape=$tape) ---"
-        SOD2_TAPE=$tape SOD2_WAVEFRONT=1 $CLI chaos --all --seed 42
-    done
+    # non-zero. Run serial and wavefront: the hardening paths must hold
+    # under both schedules.
+    echo "--- chaos (serial) ---"
+    SOD2_WAVEFRONT=0 $CLI chaos --all --seed 42
+    echo "--- chaos (wavefront) ---"
+    SOD2_WAVEFRONT=1 $CLI chaos --all --seed 42
 }
 
 stage_bench() {

@@ -26,7 +26,7 @@ use sod2_pool::with_threads;
 use sod2_prng::rngs::StdRng;
 use sod2_prng::{Rng, SeedableRng};
 use sod2_rdp::analyze;
-use sod2_runtime::{execute, execute_with_arena, ArenaBacking, ExecConfig, RunOutcome};
+use sod2_runtime::{compile_tape, execute, execute_tape, ArenaBacking, ExecConfig, RunOutcome};
 use sod2_sym::{Bindings, DimExpr, ShapeValue};
 use sod2_tensor::Tensor;
 use std::collections::{HashMap, HashSet};
@@ -299,7 +299,19 @@ fn run_on_arena(g: &Graph, inputs: &[Tensor], heap: &RunOutcome) -> RunOutcome {
         sizes: &sizes,
         bounded: &bounded,
     };
-    execute_with_arena(g, inputs, &ExecConfig::default(), Some(backing)).expect("arena run")
+    let order = g.topo_order();
+    let layout = sod2_plan::plan_tape_layout(g, &order);
+    let tape =
+        compile_tape(g, &layout, &order, None, false, None, None, None).expect("tape lowers");
+    execute_tape(
+        g,
+        inputs,
+        &tape,
+        &ExecConfig::default(),
+        Some(backing),
+        false,
+    )
+    .expect("arena run")
 }
 
 proptest! {

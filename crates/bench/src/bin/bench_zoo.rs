@@ -9,14 +9,12 @@
 //!   `arena_backed`, `tape_len` (register-machine instruction count) —
 //!   which are identical across hosts and runs, and
 //! - informational wallclock numbers — `wall_ms_best`, `kernel_ms`,
-//!   `kernel_coverage` (kernel-span wall over infer-span wall),
-//!   `dispatch_ns_per_node` (non-kernel infer wall per node per run) plus
-//!   their `_tree` counterparts from a tree-walking interpreter run of the
-//!   same model — which the gate ignores.
+//!   `kernel_coverage` (kernel-span wall over infer-span wall, each the
+//!   union of its spans across threads), `dispatch_ns_per_node`
+//!   (non-kernel infer wall per node per run) — which the gate ignores.
 //!
-//! Every model is executed three ways per bench run — serial tree-walk,
-//! wavefront tree-walk, and wavefront tape — and all three must agree
-//! bitwise.
+//! Every model's outputs must agree bitwise with the naive reference
+//! interpreter (`sod2_runtime::reference`) on every bench run.
 //!
 //! Inputs are fixed (seed 42, mid-range size) so the gated numbers are
 //! reproducible bit-for-bit.
@@ -26,6 +24,7 @@ use sod2_frameworks::{Engine, Sod2Engine, Sod2Options};
 use sod2_models::{all_models, ModelScale};
 use sod2_prng::rngs::StdRng;
 use sod2_prng::SeedableRng;
+use sod2_runtime::reference;
 use std::time::Instant;
 
 struct ZooEntry {
@@ -50,9 +49,6 @@ struct ZooEntry {
     kernel_ms: f64,
     kernel_coverage: f64,
     dispatch_ns_per_node: f64,
-    wall_ms_best_tree: f64,
-    kernel_coverage_tree: f64,
-    dispatch_ns_per_node_tree: f64,
 }
 
 impl ZooEntry {
@@ -69,10 +65,7 @@ impl ZooEntry {
                 "\"pruned_arms\": {}, \"tape_len\": {}, ",
                 "\"wall_ms_best\": {:.4}, ",
                 "\"kernel_ms\": {:.4}, \"kernel_coverage\": {:.4}, ",
-                "\"dispatch_ns_per_node\": {:.1}, ",
-                "\"wall_ms_best_tree\": {:.4}, ",
-                "\"kernel_coverage_tree\": {:.4}, ",
-                "\"dispatch_ns_per_node_tree\": {:.1}}}"
+                "\"dispatch_ns_per_node\": {:.1}}}"
             ),
             self.model,
             self.size,
@@ -95,9 +88,6 @@ impl ZooEntry {
             self.kernel_ms,
             self.kernel_coverage,
             self.dispatch_ns_per_node,
-            self.wall_ms_best_tree,
-            self.kernel_coverage_tree,
-            self.dispatch_ns_per_node_tree,
         )
     }
 }
@@ -110,57 +100,44 @@ fn measure(model: &sod2_models::DynModel, iters: usize, absint: bool) -> ZooEntr
     let mut rng = StdRng::seed_from_u64(42);
     let inputs = model.make_inputs(size, &mut rng);
 
-    // Serial tree-walk reference: both tape lowering and wavefront
-    // scheduling must be bitwise-identical to it, so every zoo model is
-    // checked against the plain interpreter on every bench run.
-    // `nan_guard` is on so the per-node fence (and its certificate-driven
-    // elision) is on the measured path.
-    let serial_outputs = {
-        let mut serial = Sod2Engine::new(
-            model.graph.clone(),
-            DeviceProfile::s888_cpu(),
-            Sod2Options {
-                tape_exec: false,
-                wavefront_exec: false,
-                nan_guard: true,
-                absint,
-                ..Sod2Options::default()
-            },
-            &Default::default(),
-        );
-        serial.infer(&inputs).expect("serial infer").outputs
-    };
-    let assert_bitwise = |outputs: &[sod2_tensor::Tensor], mode: &str| {
+    // Wavefront tape execution must be bitwise-identical to the naive
+    // reference interpreter, so every zoo model is checked on every bench
+    // run.
+    let want = reference::run(&model.graph, &inputs).expect("reference run");
+    let assert_bitwise = |outputs: &[sod2_tensor::Tensor]| {
         assert_eq!(
-            serial_outputs.len(),
+            want.len(),
             outputs.len(),
-            "{}: {mode} output count diverged from serial tree-walk",
+            "{}: output count diverged from the reference interpreter",
             model.name
         );
-        for (s, w) in serial_outputs.iter().zip(outputs) {
+        for (s, w) in want.iter().zip(outputs) {
             assert_eq!(
                 s.payload_le_bytes(),
                 w.payload_le_bytes(),
-                "{}: {mode} outputs diverged bitwise from serial tree-walk",
+                "{}: outputs diverged bitwise from the reference interpreter",
                 model.name
             );
         }
     };
     let node_count = model.graph.nodes().len();
-    // Non-kernel inference wall time per node per run — the interpreter
-    // overhead the tape exists to shrink. Wallclock, informational only.
+    // Non-kernel inference wall time per node per run — the dispatch
+    // overhead of the tape. Wallclock, informational only.
     let dispatch_ns = |infer_ns: u64, kernel_ns: u64, runs: usize| {
         (infer_ns.saturating_sub(kernel_ns)) as f64 / (node_count * runs.max(1)) as f64
     };
 
     let _session = sod2_obs::session_guard();
     sod2_obs::set_enabled(true);
+    // Compilation gets its own capture window: verifying a pruned graph
+    // executes it, and those kernel spans are not inference time.
     sod2_obs::begin();
+    // `nan_guard` is on so the per-node fence (and its certificate-driven
+    // elision) is on the measured path.
     let mut engine = Sod2Engine::new(
         model.graph.clone(),
         DeviceProfile::s888_cpu(),
         Sod2Options {
-            tape_exec: true,
             wavefront_exec: true,
             nan_guard: true,
             absint,
@@ -169,9 +146,11 @@ fn measure(model: &sod2_models::DynModel, iters: usize, absint: bool) -> ZooEntr
         &Default::default(),
     );
     let tape_len = engine.tape_stats().map(|s| s.tape_len).unwrap_or(0);
+    let compile_prof = sod2_obs::take();
+    sod2_obs::begin();
     // Warmup: first inference pays DMP plan construction.
     let mut stats = engine.infer(&inputs).expect("warmup infer");
-    assert_bitwise(&stats.outputs, "tape+wavefront");
+    assert_bitwise(&stats.outputs);
     let mut wall_best = f64::INFINITY;
     for _ in 0..iters {
         let t0 = Instant::now();
@@ -182,39 +161,16 @@ fn measure(model: &sod2_models::DynModel, iters: usize, absint: bool) -> ZooEntr
         .last_wave_stats()
         .expect("wavefront stats after wavefront-mode inference");
     let prof = sod2_obs::take();
-
-    // Tree-walking interpreter under the same schedule, profiled in its
-    // own window: the tape-vs-tree dispatch/coverage comparison is the
-    // bench's whole point, and its outputs must stay bitwise identical.
-    sod2_obs::begin();
-    let mut tree_engine = Sod2Engine::new(
-        model.graph.clone(),
-        DeviceProfile::s888_cpu(),
-        Sod2Options {
-            tape_exec: false,
-            wavefront_exec: true,
-            nan_guard: true,
-            absint,
-            ..Sod2Options::default()
-        },
-        &Default::default(),
-    );
-    let tree_stats = tree_engine.infer(&inputs).expect("tree warmup infer");
-    assert_bitwise(&tree_stats.outputs, "tree+wavefront");
-    let mut tree_wall_best = f64::INFINITY;
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        tree_engine.infer(&inputs).expect("tree infer");
-        tree_wall_best = tree_wall_best.min(t0.elapsed().as_secs_f64());
-    }
-    let tree_prof = sod2_obs::take();
     sod2_obs::set_enabled(false);
 
     let infer_ns = prof.cat_total_ns("infer");
     let kernel_ns = prof.cat_total_ns("kernel");
-    let tree_infer_ns = tree_prof.cat_total_ns("infer");
-    let tree_kernel_ns = tree_prof.cat_total_ns("kernel");
-    let counter = |name: &str| prof.counters.get(name).copied().unwrap_or(0);
+    let counter = |name: &str| {
+        [&compile_prof, &prof]
+            .iter()
+            .map(|p| p.counters.get(name).copied().unwrap_or(0))
+            .sum::<u64>()
+    };
     ZooEntry {
         model: model.name.to_string(),
         size,
@@ -249,13 +205,6 @@ fn measure(model: &sod2_models::DynModel, iters: usize, absint: bool) -> ZooEntr
             0.0
         },
         dispatch_ns_per_node: dispatch_ns(infer_ns, kernel_ns, iters + 1),
-        wall_ms_best_tree: tree_wall_best * 1e3,
-        kernel_coverage_tree: if tree_infer_ns > 0 {
-            tree_kernel_ns as f64 / tree_infer_ns as f64
-        } else {
-            0.0
-        },
-        dispatch_ns_per_node_tree: dispatch_ns(tree_infer_ns, tree_kernel_ns, iters + 1),
     }
 }
 
@@ -331,7 +280,7 @@ fn main() {
             "{:<24} size {:<3} priced {:>8.3} ms  peak {:>8.2} MB  \
              allocs {:<4} slab {:<4} waves {:<3} width {:<2} speedup {:>4.2}x \
              (bound {:>4.2}x)  elide {:<4} nac {:<2} tape {:<4} wall {:>7.3} ms  \
-             kernels {:>5.1}%  disp {:>6.0}ns/node (tree {:>6.0})",
+             kernels {:>5.1}%  disp {:>6.0}ns/node",
             e.model,
             e.size,
             e.priced_ms,
@@ -348,7 +297,6 @@ fn main() {
             e.wall_ms_best,
             e.kernel_coverage * 100.0,
             e.dispatch_ns_per_node,
-            e.dispatch_ns_per_node_tree,
         );
         // Certificate-driven nac bounds must keep the arena path fully
         // residual-free: with the NMS/Gather special cases deleted, every
@@ -420,9 +368,11 @@ fn main() {
             "makespan_speedup, guard_elisions, nac_bounds_used, pruned_arms and ",
             "tape_len are deterministic (cost model + static schedule + abstract ",
             "interpretation + tape lowering + fixed seed 42 inputs) and gated by ",
-            "perf_gate; wall_ms_best, kernel_ms, kernel_coverage, ",
-            "dispatch_ns_per_node, their _tree counterparts and faults_probe_ns ",
-            "are host wallclock and informational only\",\n"
+            "perf_gate; wall_ms_best, kernel_ms, kernel_coverage and ",
+            "dispatch_ns_per_node (per-thread span unions) and faults_probe_ns ",
+            "are host wallclock and informational only; the tree-walker fields ",
+            "wall_ms_best_tree, kernel_coverage_tree and ",
+            "dispatch_ns_per_node_tree were removed with the tree-walker\",\n"
         ));
         s.push_str(&format!("  \"faults_probe_ns\": {faults_probe_ns:.1},\n"));
         s.push_str("  \"models\": [\n");

@@ -22,13 +22,15 @@
 
 use crate::common::{shape_key, Engine, InferenceStats};
 use sod2_device::{price_reinit, DeviceProfile, OpCost};
-use sod2_fusion::{fuse, FusionPlan, FusionPolicy};
+use sod2_fusion::{fuse, FusionPolicy};
 use sod2_ir::{Graph, TensorId};
 use sod2_mem::{peak_live_bytes, plan_best_fit, rematerialize, size_class_peak, TensorLife};
 use sod2_mvc::VersionTable;
-use sod2_plan::{naive_unit_order, unit_lifetimes, UnitGraph};
+use sod2_plan::{naive_unit_order, plan_tape_layout, unit_lifetimes, UnitGraph};
 use sod2_rdp::{analyze, RdpResult, ShapeClass};
-use sod2_runtime::{execute, ExecConfig, ExecError, RunOutcome, TraceEvent};
+use sod2_runtime::{
+    compile_tape, execute_tape, ExecConfig, ExecError, RunOutcome, TapeProgram, TraceEvent,
+};
 use sod2_tensor::Tensor;
 use std::collections::HashSet;
 
@@ -37,10 +39,12 @@ struct Compiled {
     graph: Graph,
     profile: DeviceProfile,
     rdp: RdpResult,
-    fusion_plan: FusionPlan,
     unit_graph: UnitGraph,
     unit_order: Vec<usize>,
     table: Option<VersionTable>,
+    /// The fixed naive-order plan lowered once, or the lowering error
+    /// every inference then reports.
+    tape: Result<TapeProgram, String>,
 }
 
 impl Compiled {
@@ -56,37 +60,45 @@ impl Compiled {
         } else {
             None
         };
+        let node_order: Vec<_> = unit_order
+            .iter()
+            .flat_map(|&u| unit_graph.units[u].nodes.iter().copied())
+            .collect();
+        let layout = plan_tape_layout(&graph, &node_order);
+        let tape = compile_tape(
+            &graph,
+            &layout,
+            &node_order,
+            Some(&fusion_plan),
+            true,
+            None,
+            None,
+            None,
+        )
+        .map_err(|e| e.to_string());
         Compiled {
             graph,
             profile,
             rdp,
-            fusion_plan,
             unit_graph,
             unit_order,
             table,
+            tape,
         }
     }
 
     fn run(&self, inputs: &[Tensor]) -> Result<RunOutcome, ExecError> {
-        let node_order: Vec<_> = self
-            .unit_order
-            .iter()
-            .flat_map(|&u| self.unit_graph.units[u].nodes.iter().copied())
-            .collect();
+        let tape = self
+            .tape
+            .as_ref()
+            .map_err(|e| ExecError::Internal(format!("tape lowering failed: {e}")))?;
         let cfg = ExecConfig {
-            fusion: Some(&self.fusion_plan),
-            node_order: Some(&node_order),
             version_table: self.table.as_ref(),
             // Baselines execute all branches and strip invalid results.
             execute_all_branches: true,
-            fused_interpreter: true,
-            nan_guard: false,
-            memory_budget: None,
-            wave_plan: None,
-            finite_outputs: None,
-            uses_template: None,
+            ..ExecConfig::default()
         };
-        execute(&self.graph, inputs, &cfg)
+        execute_tape(&self.graph, inputs, tape, &cfg, None, false)
     }
 
     fn observed_lifetimes(&self, outcome: &RunOutcome) -> Vec<TensorLife> {

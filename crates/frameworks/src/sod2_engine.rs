@@ -15,9 +15,8 @@ use sod2_plan::{
 };
 use sod2_rdp::{analyze, RdpResult};
 use sod2_runtime::{
-    compile_tape, execute, execute_tape, execute_with_arena, ArenaBacking, BakedVariant,
-    ExecConfig, ExecError, ExecutionTrace, RunOutcome, TapeProgram, TapeStats, TraceEvent,
-    WaveExecPlan,
+    compile_tape, execute, execute_tape, ArenaBacking, BakedVariant, ExecConfig, ExecError,
+    ExecutionTrace, RunOutcome, TapeProgram, TapeStats, TraceEvent, WaveExecPlan,
 };
 use sod2_sym::Bindings;
 use sod2_tensor::Tensor;
@@ -72,14 +71,9 @@ pub struct Sod2Options {
     /// from proven element bounds, and elide the per-node NaN fence for
     /// proven-finite tensors when `nan_guard` is on.
     pub absint: bool,
-    /// Execute through the compiled register-machine tape (the plan
-    /// lowered once to a flat instruction stream with precompiled
-    /// operand/result registers, release lists, and wave ranges) instead
-    /// of the tree-walking executor. Outputs, traces, and counters are
-    /// bitwise identical between the two; the tape just dispatches with
-    /// zero hashing and zero per-node bookkeeping allocations. Defaults
-    /// to the `SOD2_TAPE` environment variable (unset/`1` → on,
-    /// `0`/`false`/`off`/`no` → off).
+    /// Has no effect: the compiled register-machine tape is the engine's
+    /// only executor. Kept, default `true`, only because the wall-clock
+    /// benchmark's compile-stage replay reads it.
     pub tape_exec: bool,
     /// Capacity of the per-engine DMP pre-plan cache (entries keyed by
     /// bindings). Serving replicas bound this to cap per-replica plan
@@ -120,7 +114,7 @@ impl Default for Sod2Options {
                 .and_then(|v| v.trim().parse().ok())
                 .unwrap_or(0.5),
             absint: true,
-            tape_exec: env_flag("SOD2_TAPE", true),
+            tape_exec: true,
             pre_plan_cache_cap: DEFAULT_PRE_PLAN_CACHE_CAP,
         }
     }
@@ -220,14 +214,9 @@ pub struct Sod2Engine {
     wave_exec: Option<WaveExecPlan>,
     /// Wavefront statistics of the most recent inference.
     last_wave: Option<WaveStats>,
-    /// The plan compiled to a flat instruction tape (`None` when
-    /// `tape_exec` is off or lowering failed; the tree-walking executor is
-    /// the fallback either way).
-    tape: Option<std::sync::Arc<TapeProgram>>,
-    /// Static remaining-use counts per tensor key, shared with the
-    /// tree-walking executor so neither mode rebuilds refcounts from the
-    /// consumer index per inference.
-    uses_template: Vec<u32>,
+    /// The plan compiled to a flat instruction tape, or the lowering
+    /// error every inference then reports.
+    tape: Result<std::sync::Arc<TapeProgram>, String>,
     /// Pre-execution DMP results keyed by this inference's bindings: the
     /// RDP size evaluation, bounded-`nac` lookup, liveness extraction,
     /// offset planning, and plan re-verification depend only on the
@@ -438,14 +427,13 @@ impl Sod2Engine {
         };
         // Lower the compiled plan to the execution tape: a flat instruction
         // stream with registers, release lists, group tails, and wave
-        // ranges all resolved at compile time. Lowering failure is not
-        // fatal — the tree-walking executor remains a full interpreter for
-        // the same plan — but it is counted, so CI can notice.
+        // ranges all resolved at compile time. Construction stays
+        // infallible: a lowering failure is counted, so CI can notice, and
+        // every inference then fails with it as a typed error.
         let tape_layout = {
             let _s = sod2_obs::span!("stage", "tape_compile");
             sod2_plan::plan_tape_layout(&graph, &node_order)
         };
-        let uses_template = tape_layout.uses_template.clone();
         // Bake tuned kernel variants into the tape for hotspot nodes whose
         // output shapes RDP proves concrete under empty bindings: their
         // shape class — hence their tuned version — is a compile-time
@@ -477,9 +465,9 @@ impl Sod2Engine {
             }
             baked
         });
-        let tape = if opts.tape_exec {
+        let tape = {
             let _s = sod2_obs::span!("stage", "tape_compile");
-            match compile_tape(
+            compile_tape(
                 &graph,
                 &tape_layout,
                 &node_order,
@@ -488,15 +476,12 @@ impl Sod2Engine {
                 opts.absint.then_some(certs.finite.as_slice()),
                 wave_exec.as_ref(),
                 baked_variants.as_ref(),
-            ) {
-                Ok(tp) => Some(std::sync::Arc::new(tp)),
-                Err(_) => {
-                    sod2_obs::counter_add("tape.compile_failures", 1);
-                    None
-                }
-            }
-        } else {
-            None
+            )
+            .map(std::sync::Arc::new)
+            .map_err(|e| {
+                sod2_obs::counter_add("tape.compile_failures", 1);
+                e.to_string()
+            })
         };
         // Debug-mode verification stage: the compiled artifacts must pass
         // the static verifiers before the engine is allowed to run.
@@ -522,7 +507,7 @@ impl Sod2Engine {
                     Some(&wave_plan),
                 ));
             }
-            if let Some(tp) = &tape {
+            if let Ok(tp) = &tape {
                 stage.extend(sod2_analysis::verify_tape(
                     &graph,
                     &node_order,
@@ -554,7 +539,6 @@ impl Sod2Engine {
             wave_exec,
             last_wave: None,
             tape,
-            uses_template,
             pre_plan_cache: Vec::new(),
         }
     }
@@ -588,20 +572,20 @@ impl Sod2Engine {
             wave_exec: self.wave_exec.clone(),
             last_wave: None,
             tape: self.tape.clone(),
-            uses_template: self.uses_template.clone(),
             pre_plan_cache: self.pre_plan_cache.clone(),
         }
     }
 
-    /// Static statistics of the compiled execution tape (`None` when tape
-    /// execution is off or lowering failed).
+    /// Static statistics of the compiled execution tape (`None` when
+    /// lowering failed).
     pub fn tape_stats(&self) -> Option<TapeStats> {
-        self.tape.as_deref().map(TapeProgram::stats)
+        self.tape().map(TapeProgram::stats)
     }
 
-    /// The compiled execution tape itself, for external verification.
+    /// The compiled execution tape itself, for external verification
+    /// (`None` when lowering failed).
     pub fn tape(&self) -> Option<&TapeProgram> {
-        self.tape.as_deref()
+        self.tape.as_deref().ok()
     }
 
     /// The planned node order the tape was lowered from.
@@ -895,6 +879,10 @@ impl Sod2Engine {
     ) -> Result<(InferenceStats, MemoryPlan), ExecError> {
         let _infer_span = sod2_obs::span!("infer", "Sod2Engine::infer");
         sod2_obs::counter_add("infer.count", 1);
+        let tape = match &self.tape {
+            Ok(tp) => std::sync::Arc::clone(tp),
+            Err(e) => return Err(ExecError::Internal(format!("tape lowering failed: {e}"))),
+        };
         let mut bindings = {
             let _s = sod2_obs::span!("phase", "bindings");
             bindings_from_inputs(&self.graph, inputs).map_err(ExecError::BadInputs)?
@@ -953,12 +941,8 @@ impl Sod2Engine {
             pre_sizes,
             ..
         } = entry;
-        let wave_plan_ref: Option<&WaveExecPlan> = if wave_fallback {
-            None
-        } else {
-            self.wave_exec.as_ref()
-        };
-        let runtime_fallback = self.wave_exec.is_some() && wave_plan_ref.is_none();
+        let wavefront = self.wave_exec.is_some() && !wave_fallback;
+        let runtime_fallback = self.wave_exec.is_some() && wave_fallback;
         let backing = if let Some(pre_plan) = pre_plan_opt {
             // Budget admission at DMP time: the plan's peak is known before
             // any kernel runs, so an over-budget inference is rejected
@@ -1002,41 +986,24 @@ impl Sod2Engine {
             None
         };
         drop(dmp_span);
+        // The tape carries its plan (order, fusion, certificates, wave
+        // ranges); only the runtime knobs and the per-inference
+        // serial-fallback decision are passed down.
         let cfg = ExecConfig {
-            fusion: Some(&self.fusion_plan),
-            node_order: Some(&self.node_order),
             version_table: self.table.as_deref(),
             execute_all_branches: !self.opts.native_control_flow,
-            fused_interpreter: true,
             nan_guard: self.opts.nan_guard,
             memory_budget: self.opts.memory_budget,
-            wave_plan: wave_plan_ref,
-            finite_outputs: self.opts.absint.then_some(self.certs.finite.as_slice()),
-            uses_template: Some(&self.uses_template),
+            ..ExecConfig::default()
         };
         let deadline = self.opts.deadline.map(|d| std::time::Instant::now() + d);
-        let tape = self.tape.clone();
         let outcome = {
             let _s = sod2_obs::span!("phase", "execute");
             // Panics from kernels or pool chunks are converted to a typed
             // error here so a failed inference can never wedge the engine.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                sod2_pool::with_deadline(deadline, || match &tape {
-                    // Register-machine path: the tape already carries the
-                    // wave ranges, so only the per-inference serial-fallback
-                    // decision is passed down.
-                    Some(tp) => execute_tape(
-                        &self.graph,
-                        inputs,
-                        tp,
-                        &cfg,
-                        backing,
-                        wave_plan_ref.is_some(),
-                    ),
-                    None if backing.is_some() => {
-                        execute_with_arena(&self.graph, inputs, &cfg, backing)
-                    }
-                    None => execute(&self.graph, inputs, &cfg),
+                sod2_pool::with_deadline(deadline, || {
+                    execute_tape(&self.graph, inputs, &tape, &cfg, backing, wavefront)
                 })
             }));
             match result {
@@ -1210,7 +1177,7 @@ impl Sod2Engine {
         report.extend(an::verify_fusion(&self.graph, &self.fusion_plan));
         report.extend(an::verify_unit_order(&self.unit_graph, &self.unit_order));
         report.extend(an::verify_node_order(&self.graph, &self.node_order));
-        if let Some(tp) = &self.tape {
+        if let Ok(tp) = &self.tape {
             report.extend(an::verify_tape(
                 &self.graph,
                 &self.node_order,
@@ -1228,7 +1195,6 @@ impl Sod2Engine {
             memory_budget: self.opts.memory_budget,
             wave_plan: None,
             finite_outputs: self.opts.absint.then_some(self.certs.finite.as_slice()),
-            uses_template: Some(&self.uses_template),
         };
         let outcome = execute(&self.graph, inputs, &cfg)?;
         report.extend(an::verify_observed_shapes(

@@ -390,18 +390,29 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// Sum of span durations in a category, across all threads.
+    /// Wall time during which at least one span of a category was open on
+    /// any thread: the length of the union of the category's intervals.
     ///
-    /// Spans of one category are expected not to nest within each other
-    /// (categories are picked that way: per-operator kernel spans are
-    /// siblings, compile stages are siblings, ...), so the sum is the
-    /// category's true busy time.
+    /// Spans that overlap — kernels of concurrent wave units on different
+    /// threads, or one span nested in another — are counted once, so the
+    /// total never exceeds the session's wall time and a ratio of two
+    /// categories whose spans nest (kernel within infer) never exceeds 1.
     pub fn cat_total_ns(&self, cat: &str) -> u64 {
-        self.spans
+        let mut spans: Vec<(u64, u64)> = self
+            .spans
             .iter()
             .filter(|s| s.cat == cat)
-            .map(|s| s.dur_ns)
-            .sum()
+            .map(|s| (s.start_ns, s.end_ns()))
+            .collect();
+        spans.sort_unstable();
+        // Sweep by start time: each span adds only the part that extends
+        // past the union covered so far.
+        let (mut total, mut reach) = (0, 0);
+        for (start, end) in spans {
+            total += end.saturating_sub(start.max(reach));
+            reach = reach.max(end);
+        }
+        total
     }
 
     /// Number of spans in a category.
@@ -574,6 +585,29 @@ mod tests {
         assert_eq!(p.cat_count("k"), 1);
         assert!(p.cat_total_ns("k") >= 1_000_000);
         assert!(p.wall_ns >= p.cat_total_ns("k"));
+    }
+
+    #[test]
+    fn cat_total_is_the_union_across_threads() {
+        let rec = |tid: u64, start_ns: u64, dur_ns: u64| SpanRec {
+            cat: "k",
+            name: "op".into(),
+            tid,
+            depth: 0,
+            start_ns,
+            dur_ns,
+        };
+        // Thread 0: [0, 10) and [20, 30); thread 1: [5, 25) overlaps both.
+        // Thread 2: [40, 45), disjoint. Union = [0, 30) + [40, 45) = 35,
+        // while the plain sum of durations is 45.
+        let p = Profile {
+            spans: vec![rec(0, 0, 10), rec(1, 5, 20), rec(0, 20, 10), rec(2, 40, 5)],
+            ..Default::default()
+        };
+        let sum: u64 = p.spans.iter().map(|s| s.dur_ns).sum();
+        assert_eq!(sum, 45);
+        assert_eq!(p.cat_total_ns("k"), 35);
+        assert_eq!(p.cat_total_ns("missing"), 0);
     }
 
     #[test]

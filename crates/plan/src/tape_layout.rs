@@ -25,10 +25,6 @@ pub struct TapeLayout {
     /// to the end of the run), and tensors with no consumers are never
     /// released — both matching the runtime refcount discipline exactly.
     pub releases: Vec<Vec<TensorId>>,
-    /// Initial remaining-use count per tensor key: consumer *occurrences*
-    /// plus one for graph outputs. This is the template the tree-walking
-    /// executor copies per inference (`ExecConfig::uses_template`).
-    pub uses_template: Vec<u32>,
 }
 
 /// Lowers a planned node order to the static release schedule by
@@ -40,15 +36,16 @@ pub struct TapeLayout {
 pub fn plan_tape_layout(graph: &Graph, node_order: &[NodeId]) -> TapeLayout {
     let register_count = graph.num_tensors();
     let consumer_index = graph.consumer_index();
-    let mut uses_template = vec![0u32; register_count];
+    // Initial remaining-use count per tensor key: consumer *occurrences*
+    // plus one for graph outputs.
+    let mut remaining = vec![0u32; register_count];
     for t in graph.tensor_ids() {
         let mut n = consumer_index.get(&t).map(Vec::len).unwrap_or(0);
         if graph.outputs().contains(&t) {
             n += 1; // held to the end of the run
         }
-        uses_template[t.0 as usize] = n as u32;
+        remaining[t.0 as usize] = n as u32;
     }
-    let mut remaining = uses_template.clone();
     let mut releases: Vec<Vec<TensorId>> = Vec::with_capacity(node_order.len());
     for &nid in node_order {
         let mut here: Vec<TensorId> = Vec::new();
@@ -64,6 +61,5 @@ pub fn plan_tape_layout(graph: &Graph, node_order: &[NodeId]) -> TapeLayout {
     TapeLayout {
         register_count,
         releases,
-        uses_template,
     }
 }

@@ -1,11 +1,17 @@
 //! # sod2-runtime — the execution engine substrate
 //!
-//! Executes extended computational graphs on concrete tensors:
+//! Executes extended computational graphs on concrete tensors. There is
+//! one executor, the register-machine tape:
 //!
-//! - [`execute`]: the interpreter, with native `<Switch, Combine>` control
-//!   flow (dead branches skipped) or the baselines' execute-all-branches
-//!   mode, fused-group kernel accounting, live-memory tracking, and
-//!   multi-version kernel selection,
+//! - [`compile_tape`] lowers a planned graph once to a flat instruction
+//!   stream and [`execute_tape`] runs it per inference, with native
+//!   `<Switch, Combine>` control flow (dead branches skipped) or the
+//!   baselines' execute-all-branches mode, fused-group kernel accounting,
+//!   live-memory tracking, arena-backed intermediates, wavefront
+//!   scheduling, and multi-version kernel selection,
+//! - [`execute`]: a one-shot wrapper that lowers a graph and runs its tape,
+//! - [`reference::run`]: a deliberately naive interpreter, used only as
+//!   the oracle the tape is tested against,
 //! - [`ExecutionTrace`] / [`TraceEvent`] / [`LatencyBreakdown`]: priceable
 //!   event streams that the engines in `sod2-frameworks` extend with their
 //!   strategy-specific overhead events (re-initialization, shape functions,
@@ -37,13 +43,11 @@
 
 mod executor;
 pub mod passes;
+pub mod reference;
 pub mod tape;
 mod trace;
 
-pub use executor::{
-    execute, execute_with_arena, remaining_uses_template, ArenaBacking, ExecConfig, ExecError,
-    RunOutcome, WaveExecPlan,
-};
+pub use executor::{execute, ArenaBacking, ExecConfig, ExecError, RunOutcome, WaveExecPlan};
 pub use passes::{eliminate_dead_nodes, fold_constants, PassStats};
 pub use tape::{
     compile_tape, execute_tape, BakedVariant, Instr, InstrKind, RegRelease, TapeChain, TapeProgram,

@@ -7,7 +7,7 @@
 //! whose shape-determining inputs become constants degrades to ISDOS,
 //! unlocking the stronger transfer functions.
 
-use crate::executor::const_tensor_pub as const_tensor;
+use crate::executor::const_tensor;
 use sod2_ir::{ConstData, DType, Graph, TensorId};
 use sod2_kernels::execute_op;
 use sod2_tensor::{Data, Tensor};

@@ -2,15 +2,16 @@
 //!
 //! Compiles a planned graph **once** into a flat instruction stream
 //! executed by a thin VM loop — the Nimble-style answer to interpreter
-//! overhead for dynamic models. Everything the tree-walking executor
-//! re-derives per inference is precompiled into per-instruction fields:
+//! overhead for dynamic models, and the only executor in this crate.
+//! Everything a graph walk would re-derive per inference is precompiled
+//! into per-instruction fields:
 //!
 //! - **registers**: the register file is a dense `Vec<Slot>` indexed by
 //!   `TensorId`, so operand/result "slots" are plain indices and two
 //!   concurrently-live tensors can never alias a register by
 //!   construction. DMP arena offsets keyed by the same indices make a
 //!   register's backing store the planned slab slot; `nac`-sized residue
-//!   falls back to heap-backed registers exactly as in the tree-walker.
+//!   falls back to heap-backed registers.
 //! - **releases**: the executor's per-occurrence refcount discipline is
 //!   replayed at compile time (`sod2_plan::plan_tape_layout`), so each
 //!   instruction carries the list of registers whose last use it is —
@@ -27,14 +28,15 @@
 //!
 //! The tape is immutable and intended to be `Arc`-shared across replicas;
 //! the register file and accounting scratch are per-inference. Execution
-//! semantics — deadline checks at instruction boundaries, memory-budget
+//! covers deadline checks at instruction boundaries, memory-budget
 //! accounting, arena→heap degradation, NaN fences honoring absint
-//! certificates, fault-probe sites, and the priced trace-event stream —
-//! are bit-for-bit those of the tree-walking executor; the differential
-//! suite in `tests/tape_props.rs` and `bench_zoo` enforce it.
+//! certificates, fault-probe sites, and the priced trace-event stream.
+//! Outputs are checked bitwise against the naive
+//! [`reference`](crate::reference) interpreter by `tests/tape_props.rs`,
+//! the zoo suite in `sod2-frameworks`, and `bench_zoo`.
 
 use crate::executor::{
-    arena_install, build_chains, eval_chain, fence_value, hotspot_mn, release_slot,
+    arena_install, build_chains, const_tensor, eval_chain, fence_value, hotspot_mn, release_slot,
     select_variants, selector, ArenaBacking, ChainEval, ChainPlan, EnvView, ExecConfig, ExecError,
     Overlay, RunOutcome, Slot, WaveExecPlan,
 };
@@ -51,9 +53,8 @@ use std::collections::HashMap;
 const INLINE_ARITY: usize = 8;
 
 /// One register release precompiled into an instruction: the register
-/// index plus the flags the tree-walker derives from the graph per
-/// release (is the tensor a materialized intermediate? a graph output
-/// held to the end?).
+/// index plus the flags derived from the graph at compile time (is the
+/// tensor a materialized intermediate? a graph output held to the end?).
 #[derive(Debug, Clone)]
 pub struct RegRelease {
     /// Register (= tensor id) to release.
@@ -65,8 +66,8 @@ pub struct RegRelease {
 }
 
 /// A fused chain lowered to one instruction: the member list inlined,
-/// with each member's release list applied at its original commit
-/// position so live-memory accounting matches the tree-walker exactly.
+/// with each member's release list kept in member order so live-memory
+/// accounting follows the planned node order.
 #[derive(Debug, Clone)]
 pub struct TapeChain {
     pub(crate) plan: ChainPlan,
@@ -81,8 +82,8 @@ pub struct TapeChain {
     pub final_reg: TensorId,
     /// Proven-finite bit for the final output (NaN-fence elision).
     pub final_finite: bool,
-    /// The tail member (its name labels fence diagnostics, as in the
-    /// tree-walker where the tail performs the install).
+    /// The tail member (its name labels the final output's fence
+    /// diagnostics).
     pub tail_nid: NodeId,
 }
 
@@ -234,10 +235,11 @@ impl TapeProgram {
     }
 }
 
-/// Compiles a planned graph into an execution tape. Mirrors the choices
-/// the tree-walking executor would make for the same configuration
-/// (fusion plan, fused-interpreter chains, finite-output certificates,
-/// wavefront schedule), so the two modes are differentially testable.
+/// Compiles a planned graph into an execution tape: the node order, the
+/// fusion plan (and, with `fused_interpreter`, its element-wise chains),
+/// the finite-output certificates, the wavefront schedule and the baked
+/// kernel variants are all resolved here, once, so `execute_tape` only
+/// binds inputs and dispatches.
 ///
 /// # Errors
 ///
@@ -481,7 +483,7 @@ pub fn compile_tape(
                 .shape
                 .as_known()
                 .ok_or_else(|| ExecError::BadInputs("constant with unknown shape".into()))?;
-            consts.push((t, crate::executor::const_tensor_pub(&shape, data)));
+            consts.push((t, const_tensor(&shape, data)));
         }
     }
 
@@ -523,8 +525,8 @@ fn fill_shapes(bufs: &mut Vec<Vec<usize>>, count: usize) {
     }
 }
 
-/// Mutable per-inference state of the tape VM (dense everywhere the
-/// tree-walker used maps).
+/// Mutable per-inference state of the tape VM (dense arrays indexed by
+/// register and group; no maps on the dispatch path).
 struct TapeState<'a> {
     env: Vec<Slot>,
     trace: ExecutionTrace,
@@ -605,8 +607,8 @@ impl TapeState<'_> {
 /// precomputed evaluation), account group cost, install results, apply
 /// the precompiled releases, and emit the group trace event at the
 /// group's statically-known tail. The single mutation point of tape
-/// state in both execution modes — the exact analogue of the
-/// tree-walker's `commit_node`.
+/// state in both execution modes, so wavefront runs install, account,
+/// trace, and release in exactly the serial order.
 fn commit_instr(
     graph: &Graph,
     cfg: &ExecConfig<'_>,
@@ -620,10 +622,10 @@ fn commit_instr(
     }
     let node = graph.node(instr.nid);
     // Serial commits evaluate in place, so the kernel span covers
-    // execution, installation, and release — the tree-walker's span
-    // extent. Wave commits consumed a phase-A evaluation that already ran
-    // under its own kernel span; the bookkeeping here gets none, which is
-    // what makes `kernel_coverage` measure compute in wavefront mode.
+    // execution, installation, and release. Wave commits consumed a
+    // phase-A evaluation that already ran under its own kernel span; the
+    // bookkeeping here gets none, which is what makes `kernel_coverage`
+    // measure compute in wavefront mode.
     let _kernel_span = if pre.is_none() {
         Some(sod2_obs::span!("kernel", "{}", node.name))
     } else {
@@ -667,7 +669,7 @@ fn commit_instr(
     st.branches_executed += branches;
 
     // Group cost accounting before results move into registers (input
-    // registers are still live at this point, as in the tree-walker).
+    // registers are still live at this point).
     let any_live = results.iter().any(Option::is_some);
     if any_live && instr.count_cost {
         fill_shapes(&mut scratch.in_shapes, instr.inputs.len());
@@ -841,7 +843,7 @@ fn eval_plain_with_op(
 
 /// Resolves the GEMM/CONV configurations for a kernel instruction: the
 /// compile-time baked variant when the tape carries one (zero runtime
-/// selection work), else the tree-walker's runtime selection path.
+/// selection work), else runtime selection from the input shapes.
 fn instr_variants(
     instr: &Instr,
     op: &Op,
@@ -861,8 +863,7 @@ fn instr_variants(
     }
 }
 
-/// Commits a fused-chain instruction, replaying the tree-walker's exact
-/// member-by-member sequence: the fused trace event at the head (working
+/// Commits a fused-chain instruction member by member: the fused trace event at the head (working
 /// set measured before any release), each member's releases at its
 /// original position, and the final-output install at the tail.
 fn commit_chain(
@@ -901,7 +902,7 @@ fn commit_chain(
         }
         None => {
             // Dead chain: every member output dies, releases interleaved
-            // in member order as the tree-walker would.
+            // in member order.
             for (k, releases) in tc.member_releases.iter().enumerate() {
                 st.env[tc.member_outputs[k].0 as usize] = Slot::Dead;
                 st.apply_releases(releases)?;
@@ -913,8 +914,8 @@ fn commit_chain(
 
 /// Pure phase-A evaluation of one unit's instruction range: reads the
 /// committed register file plus a unit-local overlay, never mutates
-/// shared state. The wavefront analogue of the tree-walker's
-/// `eval_unit`, at tape granularity.
+/// shared state, so units of one wave may evaluate concurrently (a legal
+/// wavefront schedule has no cross-unit dependence within a wave).
 fn eval_tape_unit(
     graph: &Graph,
     cfg: &ExecConfig<'_>,
@@ -973,17 +974,19 @@ fn eval_tape_unit(
 
 /// Executes a compiled tape on concrete inputs.
 ///
-/// `cfg` supplies the runtime knobs the tree-walker shares (version
-/// table, execute-all-branches, NaN guard, memory budget); its plan
+/// `cfg` supplies the runtime knobs (version table,
+/// execute-all-branches, NaN guard, memory budget); its plan
 /// fields (`fusion`, `node_order`, `wave_plan`) are ignored — those
-/// decisions were baked into the tape at compile time. `wavefront`
-/// selects between the serial dispatch loop and two-phase wave
-/// execution over the tape's compiled `(start, end)` ranges.
+/// decisions were baked into the tape at compile time. `backing`, when
+/// present, serves planned intermediates from an arena slab (see
+/// [`ArenaBacking`]). `wavefront` selects between the serial dispatch
+/// loop and two-phase wave execution over the tape's compiled
+/// `(start, end)` ranges.
 ///
 /// # Errors
 ///
-/// Exactly the tree-walking executor's error surface: kernels, control
-/// flow, memory verification, deadline, budget, numeric fences.
+/// Kernel failures, input-count mismatches, malformed control flow,
+/// arena readback mismatches, deadline, budget, and numeric fences.
 pub fn execute_tape(
     graph: &Graph,
     inputs: &[Tensor],

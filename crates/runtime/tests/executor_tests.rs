@@ -6,9 +6,31 @@ use sod2_fusion::{fuse, FusionPolicy};
 use sod2_ir::{BinaryOp, ConstData, DType, Graph, Op, TensorId, UnaryOp};
 use sod2_mvc::VersionTable;
 use sod2_rdp::analyze;
-use sod2_runtime::{execute, ExecConfig};
+use sod2_runtime::{
+    compile_tape, execute, execute_tape, ArenaBacking, ExecConfig, ExecError, RunOutcome,
+};
 use sod2_sym::DimExpr;
 use sod2_tensor::Tensor;
+
+/// Lowers `g` in topological order and runs its tape once with
+/// intermediates served from `backing`.
+fn execute_on_arena(
+    g: &Graph,
+    inputs: &[Tensor],
+    backing: ArenaBacking<'_>,
+) -> Result<RunOutcome, ExecError> {
+    let order = g.topo_order();
+    let layout = sod2_plan::plan_tape_layout(g, &order);
+    let tape = compile_tape(g, &layout, &order, None, false, None, None, None)?;
+    execute_tape(
+        g,
+        inputs,
+        &tape,
+        &ExecConfig::default(),
+        Some(backing),
+        false,
+    )
+}
 
 fn relu_chain(n: usize) -> Graph {
     let mut g = Graph::new();
@@ -313,7 +335,6 @@ fn three_way_switch_routes_correctly() {
 #[test]
 fn arena_backing_shrinks_alloc_stream_and_matches_heap() {
     use sod2_mem::{Arena, MemoryPlan};
-    use sod2_runtime::{execute_with_arena, ArenaBacking};
     use std::collections::HashMap;
 
     let mut g = Graph::new();
@@ -342,8 +363,7 @@ fn arena_backing_shrinks_alloc_stream_and_matches_heap() {
         sizes: &sizes,
         bounded: &bounded,
     };
-    let run =
-        execute_with_arena(&g, &inputs, &ExecConfig::default(), Some(backing)).expect("arena run");
+    let run = execute_on_arena(&g, &inputs, backing).expect("arena run");
     assert!(run.alloc_sizes.is_empty(), "all intermediates planned");
     assert_eq!(run.arena_backed, 3);
     assert_eq!(
@@ -356,7 +376,6 @@ fn arena_backing_shrinks_alloc_stream_and_matches_heap() {
 #[test]
 fn arena_size_mismatch_falls_back_to_heap() {
     use sod2_mem::{Arena, MemoryPlan};
-    use sod2_runtime::{execute_with_arena, ArenaBacking};
     use std::collections::HashMap;
 
     let g = relu_chain(1);
@@ -374,11 +393,10 @@ fn arena_size_mismatch_falls_back_to_heap() {
         sizes: &sizes,
         bounded: &bounded,
     };
-    let run = execute_with_arena(
+    let run = execute_on_arena(
         &g,
         &[Tensor::from_f32(&[4], vec![1.0, 2.0, 3.0, 4.0])],
-        &ExecConfig::default(),
-        Some(backing),
+        backing,
     )
     .expect("run");
     assert_eq!(run.arena_backed, 0);
@@ -393,7 +411,6 @@ fn arena_size_mismatch_falls_back_to_heap() {
 #[test]
 fn arena_aliasing_of_live_tensors_is_detected() {
     use sod2_mem::{Arena, MemoryPlan};
-    use sod2_runtime::{execute_with_arena, ArenaBacking, ExecError};
     use std::collections::HashMap;
 
     // a and b are simultaneously live (both feed the add); an unsound
@@ -422,11 +439,10 @@ fn arena_aliasing_of_live_tensors_is_detected() {
         sizes: &sizes,
         bounded: &bounded,
     };
-    let err = execute_with_arena(
+    let err = execute_on_arena(
         &g,
         &[Tensor::from_f32(&[4], vec![1.0, 2.0, 3.0, 4.0])],
-        &ExecConfig::default(),
-        Some(backing),
+        backing,
     )
     .expect_err("aliasing plan must fail");
     assert!(
