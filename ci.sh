@@ -1,14 +1,14 @@
 #!/bin/bash
 # CI gate: build, tests (both thread configs), formatting, lints, the static
 # analyzer over every model in the zoo, bench smoke runs, the serving bench
-# (dynamic batching + chaos-under-traffic), and the perf-regression gate
-# against the checked-in baselines.
+# (dynamic batching + chaos-under-traffic), a host wall-clock benchmark
+# smoke run, and the perf-regression gate against the checked-in baselines.
 #
 # Usage:
 #   ./ci.sh                      # run every stage in order
 #   ./ci.sh <stage>              # run one stage: build | test-par | test-serial
 #                                #   | fmt | clippy | zoo | analyze | chaos
-#                                #   | bench | serve | gate
+#                                #   | bench | serve | wallbench | gate
 #   ./ci.sh --update-baselines   # run bench + serve, then overwrite the
 #                                #   checked-in BENCH_kernels.json /
 #                                #   BENCH_zoo.json / BENCH_serve.json with
@@ -35,9 +35,9 @@ UPDATE_BASELINES=0
 for arg in "$@"; do
     case "$arg" in
         --update-baselines) UPDATE_BASELINES=1 ;;
-        build|test-par|test-serial|fmt|clippy|zoo|analyze|chaos|bench|serve|gate|all) MODE="$arg" ;;
+        build|test-par|test-serial|fmt|clippy|zoo|analyze|chaos|bench|serve|wallbench|gate|all) MODE="$arg" ;;
         *)
-            echo "usage: ./ci.sh [build|test-par|test-serial|fmt|clippy|zoo|analyze|chaos|bench|serve|gate] [--update-baselines]" >&2
+            echo "usage: ./ci.sh [build|test-par|test-serial|fmt|clippy|zoo|analyze|chaos|bench|serve|wallbench|gate] [--update-baselines]" >&2
             exit 2
             ;;
     esac
@@ -255,6 +255,28 @@ stage_serve() {
     fi
 }
 
+stage_wallbench() {
+    # Host wall-clock benchmark smoke: its unit tests, then a short traced
+    # run of each workload. Timings vary with the host and are not judged
+    # here; the run must only report every output bitwise-equal to the
+    # no-opt engine's (`"correct": true`) and no failed operation.
+    cargo test --offline --manifest-path wallbench/Cargo.toml
+    mkdir -p "$CI_OUT"
+    local w last
+    for w in seq_shapes gated_cnn serve_open; do
+        echo "--- wallbench $w ---"
+        cargo run --release --offline --quiet --manifest-path wallbench/Cargo.toml -- \
+            --workload "$w" --seed 1 --seconds 2 --trace 1 > "$CI_OUT/wallbench_$w.txt"
+        last=$(tail -n 1 "$CI_OUT/wallbench_$w.txt")
+        if ! grep -q '"correct": true' <<< "$last" || ! grep -Eq '"failed": 0[,}]' <<< "$last"; then
+            echo "FATAL: wallbench $w did not finish correct with 0 failures:" >&2
+            echo "$last" >&2
+            exit 1
+        fi
+    done
+    echo "wallbench: 3 workloads correct, 0 failed"
+}
+
 stage_gate() {
     local gate=./target/release/perf_gate
     for f in "$CI_OUT/BENCH_kernels.json" "$CI_OUT/BENCH_zoo.json" "$CI_OUT/BENCH_serve.json"; do
@@ -284,6 +306,7 @@ run_stage analyze stage_analyze
 run_stage chaos stage_chaos
 run_stage bench stage_bench
 run_stage serve stage_serve
+run_stage wallbench stage_wallbench
 run_stage gate stage_gate
 
 echo "=== CI OK ==="

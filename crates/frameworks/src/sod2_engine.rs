@@ -196,6 +196,9 @@ pub struct Sod2Engine {
     certs: sod2_analysis::Certificates,
     fusion_plan: FusionPlan,
     unit_graph: UnitGraph,
+    /// The schedulable unit of each fusion group (by group index), for
+    /// attributing priced kernel events to units.
+    group_unit: Vec<Option<usize>>,
     partitions: Vec<Partition>,
     unit_order: Vec<usize>,
     /// The SEP (serial) unit order, before wavefront flattening — the
@@ -521,6 +524,12 @@ impl Sod2Engine {
                 stage.render_text(Some(&graph))
             );
         }
+        let mut group_unit = vec![None; fusion_plan.groups.len()];
+        for (u, unit) in unit_graph.units.iter().enumerate() {
+            if let Some(&n0) = unit.nodes.first() {
+                group_unit[fusion_plan.group_of(n0)] = Some(u);
+            }
+        }
         Sod2Engine {
             graph,
             profile,
@@ -529,6 +538,7 @@ impl Sod2Engine {
             certs,
             fusion_plan,
             unit_graph,
+            group_unit,
             partitions,
             unit_order,
             sep_unit_order,
@@ -562,6 +572,7 @@ impl Sod2Engine {
             certs: self.certs.clone(),
             fusion_plan: self.fusion_plan.clone(),
             unit_graph: self.unit_graph.clone(),
+            group_unit: self.group_unit.clone(),
             partitions: self.partitions.clone(),
             unit_order: self.unit_order.clone(),
             sep_unit_order: self.sep_unit_order.clone(),
@@ -605,15 +616,10 @@ impl Sod2Engine {
     }
 
     /// Prices each kernel event individually and attributes the seconds to
-    /// its schedulable unit via the event's fusion-group id.
-    fn priced_unit_seconds(&self, trace: &ExecutionTrace) -> HashMap<usize, f64> {
-        let mut gid_to_unit: HashMap<usize, usize> = HashMap::new();
-        for (u, unit) in self.unit_graph.units.iter().enumerate() {
-            if let Some(&n0) = unit.nodes.first() {
-                gid_to_unit.insert(self.fusion_plan.group_of(n0), u);
-            }
-        }
-        let mut out: HashMap<usize, f64> = HashMap::new();
+    /// its schedulable unit via the event's fusion-group id; indexed by
+    /// unit.
+    fn priced_unit_seconds(&self, trace: &ExecutionTrace) -> Vec<f64> {
+        let mut out = vec![0.0f64; self.unit_graph.units.len()];
         for e in &trace.events {
             if let TraceEvent::Kernel {
                 cost,
@@ -625,8 +631,8 @@ impl Sod2Engine {
             {
                 let eff = efficiency.unwrap_or(self.profile.base_efficiency);
                 let s = sod2_device::price_kernel(&self.profile, cost, eff, *working_set);
-                if let Some(&u) = gid_to_unit.get(group) {
-                    *out.entry(u).or_insert(0.0) += s;
+                if let Some(&Some(u)) = self.group_unit.get(*group) {
+                    out[u] += s;
                 }
             }
         }
@@ -1071,30 +1077,28 @@ impl Sod2Engine {
         let wave_stats = match &self.wave_schedule {
             Some(ws) => {
                 let unit_secs = self.priced_unit_seconds(&trace);
-                let serial_s: f64 = unit_secs.values().sum();
+                // Summed in unit-index order, so the result is the same
+                // bits in every process.
+                let serial_s: f64 = unit_secs.iter().sum();
                 let makespan_s: f64 = ws
                     .waves
                     .iter()
                     .map(|wave| {
-                        let secs: Vec<f64> = wave
-                            .iter()
-                            .map(|&u| unit_secs.get(&u).copied().unwrap_or(0.0))
-                            .collect();
+                        let secs: Vec<f64> = wave.iter().map(|&u| unit_secs[u]).collect();
                         sod2_pool::scheduled_makespan(&secs, WAVE_WORKERS)
                     })
                     .sum();
                 // Critical path over the unit DAG: `self.unit_order` is a
                 // topological order, so one forward pass suffices.
-                let mut cp: HashMap<usize, f64> = HashMap::new();
+                let mut cp = vec![0.0f64; unit_secs.len()];
                 let mut critical_s = 0.0f64;
                 for &u in &self.unit_order {
-                    let own = unit_secs.get(&u).copied().unwrap_or(0.0);
                     let from = self.unit_graph.preds[u]
                         .iter()
-                        .map(|p| cp.get(p).copied().unwrap_or(0.0))
+                        .map(|&p| cp[p])
                         .fold(0.0f64, f64::max);
-                    cp.insert(u, from + own);
-                    critical_s = critical_s.max(from + own);
+                    cp[u] = from + unit_secs[u];
+                    critical_s = critical_s.max(cp[u]);
                 }
                 Some(WaveStats {
                     wave_count: ws.waves.len(),

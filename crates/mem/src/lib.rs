@@ -5,12 +5,21 @@
 //! - [`plan_peak_first`] / [`plan_sod2`] — SoD²'s planner (start at the
 //!   peak-usage location, sweep outward reusing freed slots; `plan_sod2`
 //!   hardens it with a first-fit portfolio fallback),
+//! - [`plan_first_fit`] — first-fit in definition order (a portfolio
+//!   member of `plan_sod2`),
 //! - [`plan_best_fit`] — the MNN-style greedy baseline,
 //! - [`plan_exhaustive`] — the small-sub-graph optimal reference,
 //! - [`MemoryPlan::conservative`] — the static engines' no-reuse fallback,
 //! - [`size_class_peak`] — the pooling/BFC allocator model (ORT baseline),
 //! - [`rematerialize`] — the XLA-style budget-constrained policy used by
 //!   the Fig. 11 TFLite comparison.
+//!
+//! Cost: each greedy planner is `O(n²)` for `n` tensors with no allocation
+//! per placement, and [`peak_live_bytes`] / [`peak_step`] are one
+//! difference-array sweep over the steps. The placement decisions are
+//! those of the plain formulation (collect the overlapping placed tensors,
+//! sort them, scan), which `tests/props.rs` keeps as an oracle: every
+//! offset and peak must match it.
 //!
 //! Plans are checked with [`verify_plan`], which returns typed
 //! [`PlanViolation`]s (interval-sweep overlap detection, arena bounds,

@@ -9,7 +9,8 @@ use std::fmt;
 /// its defining step through its last use, inclusive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TensorLife {
-    /// Caller-chosen identifier (e.g. a `TensorId` index).
+    /// Caller-chosen identifier (e.g. a `TensorId` index), distinct among
+    /// the lifetimes handed to one planner call.
     pub key: usize,
     /// Payload size in bytes.
     pub size: usize,
@@ -76,34 +77,46 @@ impl MemoryPlan {
 /// The information-theoretic lower bound: the largest sum of sizes of
 /// simultaneously live tensors over all steps.
 pub fn peak_live_bytes(lives: &[TensorLife]) -> usize {
-    let max_step = lives.iter().map(TensorLife::last_use).max().unwrap_or(0);
-    let mut best = 0usize;
-    for step in 0..=max_step {
-        let total: usize = lives
-            .iter()
-            .filter(|l| l.live_at(step))
-            .map(|l| l.size)
-            .sum();
-        best = best.max(total);
-    }
-    best
+    live_peak(lives, &last_uses(lives)).1
 }
 
-/// The step at which live bytes peak.
+/// The step at which live bytes peak (the earliest one on ties; step 0
+/// when nothing is ever live).
 pub fn peak_step(lives: &[TensorLife]) -> usize {
-    let max_step = lives.iter().map(TensorLife::last_use).max().unwrap_or(0);
-    let mut best = (0usize, 0usize);
-    for step in 0..=max_step {
-        let total: usize = lives
-            .iter()
-            .filter(|l| l.live_at(step))
-            .map(|l| l.size)
-            .sum();
-        if total > best.1 {
-            best = (step, total);
+    live_peak(lives, &last_uses(lives)).0
+}
+
+/// [`TensorLife::last_use`] of every lifetime, by position in `lives`.
+pub(crate) fn last_uses(lives: &[TensorLife]) -> Vec<usize> {
+    lives.iter().map(TensorLife::last_use).collect()
+}
+
+/// `(step, bytes)` of the earliest step with the most live bytes, from one
+/// difference-array sweep over the steps: `O(tensors + steps)` where a
+/// per-step rescan of every lifetime is `O(tensors · steps)`. `last[i]`
+/// is `lives[i].last_use()`.
+pub(crate) fn live_peak(lives: &[TensorLife], last: &[usize]) -> (usize, usize) {
+    let max_step = last.iter().copied().max().unwrap_or(0);
+    // Live bytes change by `delta[s]` entering step `s`. Wrapping
+    // arithmetic lets removals sit in the same unsigned array: every
+    // running total is a true (non-negative) byte count.
+    let mut delta = vec![0usize; max_step + 2];
+    for (l, &end) in lives.iter().zip(last) {
+        // A lifetime whose uses all precede its definition is never live.
+        if l.def <= end {
+            delta[l.def] = delta[l.def].wrapping_add(l.size);
+            delta[end + 1] = delta[end + 1].wrapping_sub(l.size);
         }
     }
-    best.0
+    let mut best = (0usize, 0usize);
+    let mut live = 0usize;
+    for (step, &d) in delta[..=max_step].iter().enumerate() {
+        live = live.wrapping_add(d);
+        if live > best.1 {
+            best = (step, live);
+        }
+    }
+    best
 }
 
 /// A defect found in an offset plan by [`verify_plan`].

@@ -5,7 +5,9 @@
 //! tensor backing, and wavefront scheduling on/off, with memory metrics
 //! identical to the serial single-thread run of the same backing — and
 //! every fault class (deadline, budget, NaN guard, kernel error) must
-//! surface as the same typed error in serial and wavefront mode.
+//! surface as the same typed error in serial and wavefront mode. A second
+//! generator covers fused chains whose running value is the right operand
+//! of a non-commutative binary op.
 
 use proptest::prelude::*;
 use sod2::{DeviceProfile, Engine, ExecError, Sod2Engine, Sod2Options, Tensor};
@@ -185,6 +187,78 @@ proptest! {
                         wavefront, arena, threads);
                 }
             }
+        }
+    }
+}
+
+/// One fused element-wise chain whose running value is the *right*
+/// operand of every binary step: `cur = x - u(cur)` (`sub`) or
+/// `cur = x / sigmoid(tanh(cur))` (`div`, denominator kept in
+/// [0.26, 0.74] so every value stays finite). `x` is a graph input, so it
+/// has no producer group and each binary node fuses through its right
+/// operand into the chain's group.
+fn rhs_chain_graph(c: usize, steps: &[(bool, u8)]) -> Graph {
+    let mut g = Graph::new();
+    let x = g.add_input(
+        "x",
+        DType::F32,
+        vec![sod2_sym::DimExpr::sym("N"), (c as i64).into()],
+    );
+    let mut cur = x;
+    for (i, &(div, u)) in steps.iter().enumerate() {
+        let unaries: &[UnaryOp] = if div {
+            &[UnaryOp::Tanh, UnaryOp::Sigmoid]
+        } else {
+            &[[UnaryOp::Relu, UnaryOp::Tanh, UnaryOp::Abs, UnaryOp::Sigmoid][(u as usize) % 4]]
+        };
+        for (j, &uop) in unaries.iter().enumerate() {
+            cur = g.add_simple(format!("s{i}u{j}"), Op::Unary(uop), &[cur], DType::F32);
+        }
+        let op = if div { BinaryOp::Div } else { BinaryOp::Sub };
+        cur = g.add_simple(format!("s{i}b"), Op::Binary(op), &[x, cur], DType::F32);
+    }
+    g.mark_output(cur);
+    g
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A fused chain feeding the right operand of non-commutative `Sub` /
+    /// `Div` steps runs bitwise-identically to the reference interpreter
+    /// (the fused kernel must apply `other op chain`, not `chain op other`).
+    #[test]
+    fn rhs_chain_matches_reference_bitwise(
+        steps in proptest::collection::vec((any::<bool>(), any::<u8>()), 1..5),
+        n in 1usize..6, c in 2usize..5, seed in 0u64..1000) {
+        let g = rhs_chain_graph(c, &steps);
+        sod2_ir::validate(&g).expect("generated graph valid");
+        let inputs = [input_for(n, c, seed)];
+        let want: Vec<Vec<u8>> = reference::run(&g, &inputs)
+            .expect("reference run")
+            .iter()
+            .map(Tensor::payload_le_bytes)
+            .collect();
+        for arena in [true, false] {
+            let mut engine = Sod2Engine::new(
+                g.clone(),
+                DeviceProfile::s888_cpu(),
+                Sod2Options {
+                    arena_exec: arena,
+                    ..Sod2Options::default()
+                },
+                &Default::default(),
+            );
+            prop_assert_eq!(engine.fusion_plan().layer_count(), 1,
+                "the chain must fuse into one group");
+            let got: Vec<Vec<u8>> = engine
+                .infer(&inputs)
+                .expect("infer")
+                .outputs
+                .iter()
+                .map(Tensor::payload_le_bytes)
+                .collect();
+            prop_assert_eq!(&got, &want, "outputs diverged from the reference (arena={})", arena);
         }
     }
 }
