@@ -98,10 +98,11 @@ pub fn violations_to_diagnostics(stats: &FixpointStats) -> Vec<Diagnostic> {
         .collect()
 }
 
-/// Runs the abstract interpretation (audit on) and packages certificates
-/// plus diagnostics for the facts that indicate a broken graph.
+/// Runs the abstract interpretation (with its termination audit) and
+/// packages certificates plus diagnostics for the facts that indicate a
+/// broken graph.
 pub fn certify(graph: &Graph, rdp: &RdpResult) -> (Certificates, Report) {
-    let (state, stats) = run_absint(graph, rdp, true);
+    let (state, stats) = run_absint(graph, rdp);
     let mut report = Report::new();
     report.extend(violations_to_diagnostics(&stats));
 

@@ -20,8 +20,8 @@
 //! ⊥ is the empty interval: "no execution reaches this tensor with any
 //! finite element yet". Dead `Switch` arms stay at ⊥, which is how deadness
 //! and unreachable-arm facts fall out of the same fixpoint. Every transfer
-//! only moves facts up its lattice; the engine's termination audit checks
-//! exactly that when enabled.
+//! only moves facts up its lattice; [`AbsintSystem`] audits exactly that at
+//! its one write site, `install`, and the engine collects the findings.
 
 use crate::absint::interval::{Interval, WIDEN_AFTER};
 use sod2_ir::{normalize_axis, DType, Graph, NodeId, Op, ReduceOp, TensorId};
@@ -217,6 +217,9 @@ pub struct AbsintSystem<'a> {
     rdp: &'a RdpResult,
     widen_range: Vec<u32>,
     widen_bound: Vec<u32>,
+    /// Lattice-order violations `install` saw since the engine last
+    /// drained them ([`System::take_violations`]).
+    violations: Vec<String>,
 }
 
 impl<'a> AbsintSystem<'a> {
@@ -226,6 +229,7 @@ impl<'a> AbsintSystem<'a> {
             rdp,
             widen_range: Vec::new(),
             widen_bound: Vec::new(),
+            violations: Vec::new(),
         }
     }
 
@@ -264,36 +268,58 @@ impl<'a> AbsintSystem<'a> {
         BoundFact::Bounded(acc)
     }
 
+    /// Joins `fact` into tensor `t`'s facts (widening a range or bound that
+    /// keeps moving), the only place `relax` writes the state. Every
+    /// written fact is checked against the one it replaces: a write that
+    /// moves down its lattice is recorded as a violation.
     fn install(&mut self, state: &mut AbsState, t: TensorId, fact: Fact) -> bool {
         let i = t.0 as usize;
         let mut changed = false;
-        let joined = state.ranges[i].join(&fact.range);
+        let joined = join_range(&state.ranges[i], &fact.range);
         if joined != state.ranges[i] {
             self.widen_range[i] += 1;
-            state.ranges[i] = if self.widen_range[i] > WIDEN_AFTER {
+            let next = if self.widen_range[i] > WIDEN_AFTER {
                 Interval::top()
             } else {
                 joined
             };
+            if !state.ranges[i].within(&next) {
+                self.violations.push(format!(
+                    "tensor {i}: range narrowed {} -> {}",
+                    state.ranges[i], next
+                ));
+            }
+            state.ranges[i] = next;
             changed = true;
         }
+        // Taint is only ever raised here, so it cannot be cleared.
         if fact.taint && !state.taint[i] {
             state.taint[i] = true;
             changed = true;
         }
         let cj = state.consts[i].join(&fact.cst);
         if cj != state.consts[i] {
+            let old = state.consts[i];
+            if cj.rank() < old.rank() || (old.rank() == 1 && cj.rank() == 1) {
+                self.violations
+                    .push(format!("tensor {i}: constness descended"));
+            }
             state.consts[i] = cj;
             changed = true;
         }
         let bj = state.bounds[i].join(&fact.bound);
         if bj != state.bounds[i] {
             self.widen_bound[i] += 1;
-            state.bounds[i] = if self.widen_bound[i] > WIDEN_AFTER {
+            let next = if self.widen_bound[i] > WIDEN_AFTER {
                 BoundFact::Unbounded
             } else {
                 bj
             };
+            if next.rank() < state.bounds[i].rank() {
+                self.violations
+                    .push(format!("tensor {i}: element bound descended"));
+            }
+            state.bounds[i] = next;
             changed = true;
         }
         changed
@@ -1124,39 +1150,27 @@ impl System for AbsintSystem<'_> {
 
     fn relax(&mut self, graph: &Graph, nid: NodeId, state: &mut AbsState) -> bool {
         let facts = self.propose(graph, state, nid);
-        let outputs = graph.node(nid).outputs.clone();
         let mut changed = false;
-        for (t, f) in outputs.into_iter().zip(facts) {
+        for (&t, f) in graph.node(nid).outputs.iter().zip(facts) {
             changed |= self.install(state, t, f);
         }
         changed
     }
 
-    fn audit(&self, _graph: &Graph, prev: &AbsState, next: &AbsState) -> Vec<String> {
-        let mut v = Vec::new();
-        for i in 0..prev.ranges.len() {
-            if !prev.ranges[i].within(&next.ranges[i]) {
-                v.push(format!(
-                    "tensor {i}: range narrowed {} -> {}",
-                    prev.ranges[i], next.ranges[i]
-                ));
-            }
-            if prev.taint[i] && !next.taint[i] {
-                v.push(format!("tensor {i}: taint cleared"));
-            }
-            if next.consts[i].rank() < prev.consts[i].rank()
-                || (prev.consts[i].rank() == 1
-                    && next.consts[i].rank() == 1
-                    && prev.consts[i] != next.consts[i])
-            {
-                v.push(format!("tensor {i}: constness descended"));
-            }
-            if next.bounds[i].rank() < prev.bounds[i].rank() {
-                v.push(format!("tensor {i}: element bound descended"));
-            }
-        }
-        v
+    fn take_violations(&mut self) -> Vec<String> {
+        std::mem::take(&mut self.violations)
     }
+}
+
+/// The range join `install` applies. Unit tests can swap in a broken join
+/// that drops the old range, to check that the write-site audit reports
+/// the descent.
+fn join_range(old: &Interval, new: &Interval) -> Interval {
+    #[cfg(test)]
+    if tests::BROKEN_JOIN.with(std::cell::Cell::get) {
+        return *new;
+    }
+    old.join(new)
 }
 
 /// Seed facts for a constant tensor's payload.
@@ -1228,14 +1242,74 @@ fn const_fact(data: &sod2_ir::ConstData) -> Fact {
     f
 }
 
-/// Runs the abstract interpretation to its fixpoint.
-pub fn run_absint(graph: &Graph, rdp: &RdpResult, audit: bool) -> (AbsState, FixpointStats) {
+/// Runs the abstract interpretation to its fixpoint (the termination
+/// audit's findings land in the stats' `violations`).
+pub fn run_absint(graph: &Graph, rdp: &RdpResult) -> (AbsState, FixpointStats) {
     let mut sys = AbsintSystem::new(rdp);
     let opts = FixpointOptions {
         strategy: Strategy::Worklist,
         max_iterations: 10_000 + 200 * graph.num_tensors(),
-        audit,
         label: "absint",
     };
     sod2_rdp::fixpoint::solve(graph, &mut sys, &opts)
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use crate::absint::certify;
+    use sod2_ir::{DType, Graph, Op, TensorId, UnaryOp};
+    use sod2_sym::ShapeValue;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Makes `install` overwrite a tensor's range with the handed one
+        /// instead of joining the two.
+        pub(crate) static BROKEN_JOIN: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// `y = Sigmoid(x)` where `y` is also declared a graph input, so it is
+    /// seeded at ⊤ before its producer's relaxation writes it.
+    fn seeded_output_graph() -> Graph {
+        let f32x4 = || ("t".to_string(), DType::F32, ShapeValue::known(&[4]), None);
+        Graph::from_parts(
+            vec![f32x4(), f32x4()],
+            vec![(
+                "sigmoid".to_string(),
+                Op::Unary(UnaryOp::Sigmoid),
+                vec![TensorId(0)],
+                vec![TensorId(1)],
+            )],
+            vec![TensorId(0), TensorId(1)],
+            vec![TensorId(1)],
+        )
+        .expect("well-formed parts")
+    }
+
+    #[test]
+    fn certify_reports_a_descending_install() {
+        let g = seeded_output_graph();
+        let rdp = sod2_rdp::analyze(&g);
+        // The real join keeps ⊤: nothing moves down, nothing is reported.
+        let (certs, report) = certify(&g, &rdp);
+        assert!(certs.stats.violations.is_empty(), "{:?}", certs.stats);
+        assert!(!report.has_code("absint/non-monotone-transfer"));
+
+        BROKEN_JOIN.with(|b| b.set(true));
+        let (certs, report) = certify(&g, &rdp);
+        BROKEN_JOIN.with(|b| b.set(false));
+        assert!(
+            certs
+                .stats
+                .violations
+                .iter()
+                .any(|v| v.starts_with("tensor 1: range narrowed")),
+            "{:?}",
+            certs.stats.violations
+        );
+        assert!(
+            report.has_code("absint/non-monotone-transfer"),
+            "{}",
+            report.render_text(Some(&g))
+        );
+    }
 }

@@ -9,7 +9,7 @@
 
 use crate::diag::{Anchor, Diagnostic};
 use sod2_ir::{DType, Graph, Node, NodeId, Op, TensorId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// A registered lint pass.
 pub struct Lint {
@@ -350,7 +350,6 @@ fn live_nodes(graph: &Graph) -> HashSet<NodeId> {
 fn lint_dead_nodes(graph: &Graph) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let live = live_nodes(graph);
-    let consumers = graph.consumer_index();
     for n in graph.nodes() {
         if !live.contains(&n.id) {
             out.push(Diagnostic::warning(
@@ -361,7 +360,7 @@ fn lint_dead_nodes(graph: &Graph) -> Vec<Diagnostic> {
             continue;
         }
         for (k, &t) in n.outputs.iter().enumerate() {
-            let unconsumed = consumers.get(&t).map(Vec::is_empty).unwrap_or(true);
+            let unconsumed = graph.uses(t).next().is_none();
             if unconsumed && !graph.outputs().contains(&t) {
                 out.push(Diagnostic::warning(
                     "ir/unused-output",
@@ -379,12 +378,11 @@ fn lint_dead_nodes(graph: &Graph) -> Vec<Diagnostic> {
 /// be gated by an upstream Switch.
 fn lint_switch_pairing(graph: &Graph) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let consumers = graph.consumer_index();
     for n in graph.nodes() {
         match &n.op {
             Op::Switch { .. } => {
                 for (k, &branch) in n.outputs.iter().enumerate() {
-                    if !forward_reaches_combine(graph, &consumers, branch) {
+                    if !forward_reaches_combine(graph, branch) {
                         out.push(Diagnostic::warning(
                             "ir/switch-pairing",
                             Anchor::Node(n.id),
@@ -423,18 +421,14 @@ fn lint_switch_pairing(graph: &Graph) -> Vec<Diagnostic> {
     out
 }
 
-fn forward_reaches_combine(
-    graph: &Graph,
-    consumers: &HashMap<TensorId, Vec<NodeId>>,
-    from: TensorId,
-) -> bool {
+fn forward_reaches_combine(graph: &Graph, from: TensorId) -> bool {
     let mut queue = vec![from];
     let mut seen: HashSet<TensorId> = queue.iter().copied().collect();
     while let Some(t) = queue.pop() {
         if graph.outputs().contains(&t) {
             return true;
         }
-        for &c in consumers.get(&t).map(Vec::as_slice).unwrap_or(&[]) {
+        for c in graph.uses(t) {
             let node = graph.node(c);
             if matches!(node.op, Op::Combine { .. }) {
                 return true;

@@ -303,7 +303,6 @@ pub fn verify_fusion_internals(
     internals: &HashSet<TensorId>,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let consumers = graph.consumer_index();
     // Membership derived from the group lists (never panics, even when the
     // plan's assignment is partial).
     let mut membership: HashMap<NodeId, usize> = HashMap::new();
@@ -330,7 +329,7 @@ pub fn verify_fusion_internals(
             continue;
         };
         let pg = membership.get(&p).copied();
-        for &c in consumers.get(&t).map(Vec::as_slice).unwrap_or(&[]) {
+        for c in graph.uses(t) {
             let cg = membership.get(&c).copied();
             if cg != pg || pg.is_none() {
                 out.push(Diagnostic::error(

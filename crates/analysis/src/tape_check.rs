@@ -190,10 +190,9 @@ pub fn verify_tape(
     // it exactly — same registers, same order, correct flags. A release
     // while uses remain would free a live register (wave-granularity
     // liveness violation); a missed one leaks it.
-    let consumer_index = graph.consumer_index();
     let mut remaining = vec![0u32; graph.num_tensors()];
     for t in graph.tensor_ids() {
-        let mut n = consumer_index.get(&t).map(Vec::len).unwrap_or(0);
+        let mut n = graph.uses(t).count();
         if graph.outputs().contains(&t) {
             n += 1;
         }

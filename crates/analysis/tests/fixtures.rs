@@ -632,11 +632,14 @@ fn fires_absint_taint_reaches_output_on_log_of_unbounded_input() {
 
 #[test]
 fn fires_absint_non_monotone_transfer_via_fixpoint_audit() {
-    // A transfer that flips a fact up and back down: the engine's audit
-    // must flag the descent and `violations_to_diagnostics` must turn it
-    // into the diagnostic `certify` would emit.
+    // A transfer that flips a fact up and back down, recording the
+    // descents it writes: the engine must collect them under both
+    // strategies (bidirectional, so the worklist revisits a node) and
+    // `violations_to_diagnostics` must turn them into the diagnostic
+    // `certify` would emit.
     struct Flapping {
         flips: usize,
+        found: Vec<String>,
     }
     impl sod2_rdp::System for Flapping {
         type State = Vec<usize>;
@@ -649,34 +652,39 @@ fn fires_absint_non_monotone_transfer_via_fixpoint_audit() {
                 return false;
             }
             self.flips += 1;
+            if state[o] == 1 {
+                self.found.push(format!("tensor {o} descended 1 -> 0"));
+            }
             state[o] = 1 - state[o];
             true
         }
-        fn audit(&self, _g: &Graph, prev: &Vec<usize>, next: &Vec<usize>) -> Vec<String> {
-            prev.iter()
-                .zip(next)
-                .enumerate()
-                .filter(|(_, (p, n))| n < p)
-                .map(|(i, (p, n))| format!("tensor {i} descended {p} -> {n}"))
-                .collect()
+        fn bidirectional(&self) -> bool {
+            true
+        }
+        fn take_violations(&mut self) -> Vec<String> {
+            std::mem::take(&mut self.found)
         }
     }
     let (g, _, _, _) = chain_graph();
-    let (_, stats) = sod2_rdp::fixpoint::solve(
-        &g,
-        &mut Flapping { flips: 0 },
-        &sod2_rdp::FixpointOptions {
-            strategy: sod2_rdp::Strategy::Sweeps,
-            audit: true,
-            ..sod2_rdp::FixpointOptions::default()
-        },
-    );
-    let r = report_of(sod2_analysis::absint::violations_to_diagnostics(&stats));
-    assert!(
-        r.has_code("absint/non-monotone-transfer"),
-        "{}",
-        r.render_text(Some(&g))
-    );
+    for strategy in [sod2_rdp::Strategy::Sweeps, sod2_rdp::Strategy::Worklist] {
+        let (_, stats) = sod2_rdp::fixpoint::solve(
+            &g,
+            &mut Flapping {
+                flips: 0,
+                found: Vec::new(),
+            },
+            &sod2_rdp::FixpointOptions {
+                strategy,
+                ..sod2_rdp::FixpointOptions::default()
+            },
+        );
+        let r = report_of(sod2_analysis::absint::violations_to_diagnostics(&stats));
+        assert!(
+            r.has_code("absint/non-monotone-transfer"),
+            "{strategy:?}: {}",
+            r.render_text(Some(&g))
+        );
+    }
 }
 
 #[test]

@@ -13,7 +13,9 @@
 //!
 //! `profile` compiles the model with the `sod2-obs` probes enabled, runs
 //! `--iters` inferences, and reports where wall-clock time went: compile
-//! stages, per-operator kernel spans, pool and memory phases, counters.
+//! stages (the self time of each `Sod2Engine::new` stage, also under
+//! `compile_stages_ms` in `--json`), per-operator kernel spans, pool and
+//! memory phases, counters.
 //! `--chrome-trace` writes a Chrome `trace_event` file loadable in
 //! `chrome://tracing` or <https://ui.perfetto.dev>. `--serve` additionally
 //! runs a short supervised serving session (replicas, circuit breakers,
@@ -504,6 +506,18 @@ fn profile_cmd(args: &[String]) {
     let serve_ok = live_server.as_ref().map(|(_, ok)| *ok);
 
     let stats = last_stats.expect("at least one iteration ran");
+    // Self time of each compile stage of the profiled engine's build (the
+    // first `compile` span; a `--serve` session builds engines of its own
+    // later in the window). `wavefront_plan` nests inside `sep_plan`.
+    let stages: Vec<(String, f64)> = prof
+        .spans
+        .iter()
+        .find(|s| s.cat == "compile")
+        .map(|build| prof.self_ns_by_name("stage", Some(build)))
+        .unwrap_or_default()
+        .into_iter()
+        .map(|(name, ns)| (name, ns as f64 / 1e6))
+        .collect();
     let infer_ns = prof.cat_total_ns("infer");
     let kernel_ns = prof.cat_total_ns("kernel");
     let coverage = if infer_ns > 0 {
@@ -609,7 +623,8 @@ fn profile_cmd(args: &[String]) {
              \"kernel_coverage\": {:.4},\n  \"pool_workers\": {},\n  \
              \"pool_occupancy\": {:.4},\n  \"absint\": {{\"guard_elisions\": {}, \
              \"pruned_arms\": {}, \"nac_bounds_used\": {}}},\n  \
-             \"wavefront\": {},\n  \"tape\": {},\n  \"serve\": {},\n  \"profile\": {}\n}}",
+             \"compile_stages_ms\": {{{}}},\n  \"wavefront\": {},\n  \"tape\": {},\n  \
+             \"serve\": {},\n  \"profile\": {}\n}}",
             model.name,
             profile.name,
             model.round_size(size),
@@ -622,6 +637,11 @@ fn profile_cmd(args: &[String]) {
             elisions,
             pruned,
             nac_used,
+            stages
+                .iter()
+                .map(|(name, ms)| format!("\"{name}\": {ms:.6}"))
+                .collect::<Vec<_>>()
+                .join(", "),
             wave_json,
             tape_json,
             serve_json,
@@ -645,6 +665,11 @@ fn profile_cmd(args: &[String]) {
             prof.cat_total_ns("compile") as f64 / 1e6,
             prof.cat_count("stage")
         );
+        let rendered: Vec<String> = stages
+            .iter()
+            .map(|(name, ms)| format!("{name} {ms:.3}"))
+            .collect();
+        println!("stages   : {} (ms self time)", rendered.join(", "));
         println!(
             "infer    : {:.3} ms wall across {} inferences",
             infer_ns as f64 / 1e6,

@@ -226,11 +226,11 @@ pub struct Sod2Engine {
     /// bindings (given the compiled schedule), so repeat shapes skip
     /// straight to arena reset. Per-inference counters are replayed from
     /// the entry to keep observability identical to the uncached path.
-    pre_plan_cache: Vec<(Bindings, PrePlanEntry)>,
+    /// Entries are shared, so a hit copies no lifetimes or size tables.
+    pre_plan_cache: Vec<(Bindings, std::sync::Arc<PrePlanEntry>)>,
 }
 
 /// Cached outcome of the `dmp_pre_plan` phase for one bindings value.
-#[derive(Clone)]
 struct PrePlanEntry {
     /// Keys planned at an absint element bound rather than an RDP size.
     bounded_keys: HashSet<usize>,
@@ -922,12 +922,13 @@ impl Sod2Engine {
                 self.pre_plan_cache.insert(0, hit);
                 sod2_obs::counter_add("dmp.pre_plan_cache_hits", 1);
                 pre_plan_hit = true;
-                self.pre_plan_cache[0].1.clone()
+                std::sync::Arc::clone(&self.pre_plan_cache[0].1)
             }
             None => {
-                let e = self.build_pre_plan(&bindings, arena_on);
+                let e = std::sync::Arc::new(self.build_pre_plan(&bindings, arena_on));
                 if cache_cap > 0 {
-                    self.pre_plan_cache.insert(0, (bindings.clone(), e.clone()));
+                    self.pre_plan_cache
+                        .insert(0, (bindings.clone(), std::sync::Arc::clone(&e)));
                     self.pre_plan_cache.truncate(cache_cap);
                 }
                 e
@@ -946,9 +947,9 @@ impl Sod2Engine {
             wave_fallback,
             pre_sizes,
             ..
-        } = entry;
-        let wavefront = self.wave_exec.is_some() && !wave_fallback;
-        let runtime_fallback = self.wave_exec.is_some() && wave_fallback;
+        } = &*entry;
+        let wavefront = self.wave_exec.is_some() && !*wave_fallback;
+        let runtime_fallback = self.wave_exec.is_some() && *wave_fallback;
         let backing = if let Some(pre_plan) = pre_plan_opt {
             // Budget admission at DMP time: the plan's peak is known before
             // any kernel runs, so an over-budget inference is rejected
@@ -965,8 +966,8 @@ impl Sod2Engine {
             // degrades to per-tensor heap allocation — the arena→heap rung
             // of the ladder; the run proceeds, just less efficiently.
             let arena_ok = match &mut self.arena {
-                Some(a) => a.try_reset(pre_plan),
-                slot => match Arena::try_new(pre_plan) {
+                Some(a) => a.try_reset(pre_plan.clone()),
+                slot => match Arena::try_new(pre_plan.clone()) {
                     Some(a) => {
                         *slot = Some(a);
                         true
@@ -982,8 +983,8 @@ impl Sod2Engine {
                     sod2_obs::gauge_max("mem.arena_capacity_bytes", arena.capacity() as u64);
                     Some(ArenaBacking {
                         arena,
-                        sizes: &pre_sizes,
-                        bounded: &bounded_keys,
+                        sizes: pre_sizes,
+                        bounded: bounded_keys,
                     })
                 }
                 _ => None,
@@ -1056,7 +1057,7 @@ impl Sod2Engine {
             }
             if arena_on {
                 if let Some(a) = self.arena.as_ref() {
-                    stage.extend(sod2_analysis::verify_memory_plan(&pre_lives, a.plan(), 1));
+                    stage.extend(sod2_analysis::verify_memory_plan(pre_lives, a.plan(), 1));
                 }
             }
             debug_assert!(
@@ -1066,7 +1067,7 @@ impl Sod2Engine {
             );
         }
         #[cfg(not(debug_assertions))]
-        let _ = (&bindings, &pre_lives);
+        let _ = (&bindings, pre_lives);
         let alloc_events = outcome.alloc_sizes.len();
         let arena_backed = outcome.arena_backed;
         let mut trace = outcome.trace;

@@ -94,7 +94,6 @@ impl FusionPlan {
     /// one group and not graph outputs. These are never materialized —
     /// Fig. 7(b)'s intermediate-result-size reduction.
     pub fn internal_tensors(&self, graph: &Graph) -> HashSet<TensorId> {
-        let consumers = graph.consumer_index();
         let mut internal = HashSet::new();
         for t in graph.tensor_ids() {
             let Some(producer) = graph.producer(t) else {
@@ -104,8 +103,8 @@ impl FusionPlan {
                 continue;
             }
             let g = self.group_of[&producer];
-            let cs = consumers.get(&t).map(Vec::as_slice).unwrap_or(&[]);
-            if !cs.is_empty() && cs.iter().all(|c| self.group_of[c] == g) {
+            let mut cs = graph.uses(t).peekable();
+            if cs.peek().is_some() && cs.all(|c| self.group_of[&c] == g) {
                 internal.insert(t);
             }
         }
@@ -123,7 +122,6 @@ pub fn fuse(graph: &Graph, rdp: &RdpResult, policy: FusionPolicy) -> FusionPlan 
     // legality hazard: merging a node into group G while another of its
     // inputs transitively depends on G).
     let mut group_preds: Vec<HashSet<usize>> = Vec::new();
-    let consumers = graph.consumer_index();
 
     for &nid in &order {
         let node = graph.node(nid);
@@ -140,8 +138,7 @@ pub fn fuse(graph: &Graph, rdp: &RdpResult, policy: FusionPolicy) -> FusionPlan 
                 }
                 // The fused edge must be single-consumer (otherwise the
                 // tensor must materialize anyway).
-                let cs = consumers.get(&input).map(Vec::as_slice).unwrap_or(&[]);
-                if cs.len() != 1 {
+                if graph.uses(input).nth(1).is_some() {
                     continue;
                 }
                 // Multi-output producers (TopK, Switch) never fuse across.

@@ -10,7 +10,6 @@
 use crate::dtype::{ConstData, DType};
 use crate::op::Op;
 use sod2_sym::{DimExpr, ShapeValue};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a tensor (SSA value) in a graph.
@@ -78,7 +77,26 @@ pub struct Graph {
     outputs: Vec<TensorId>,
     /// producer[tensor] = node producing it (None for inputs/constants).
     producer: Vec<Option<NodeId>>,
+    /// Use lists, stored flat: one entry per node input occurrence in
+    /// insertion (= node) order, each tensor's entries chained from
+    /// `first_use[tensor]` through [`Use::next`] to `last_use[tensor]`.
+    /// Appending a node is O(its inputs), and walking a tensor's uses is
+    /// O(its uses), without a per-query index rebuild.
+    use_entries: Vec<Use>,
+    first_use: Vec<u32>,
+    last_use: Vec<u32>,
 }
+
+/// One input occurrence in [`Graph`]'s flat use lists.
+#[derive(Debug, Clone, Copy)]
+struct Use {
+    node: NodeId,
+    /// Index of the same tensor's next use, or [`NO_USE`].
+    next: u32,
+}
+
+/// End-of-chain marker in [`Graph`]'s use lists.
+const NO_USE: u32 = u32::MAX;
 
 impl Graph {
     /// Creates an empty graph.
@@ -136,13 +154,42 @@ impl Graph {
         self.producer[t.0 as usize]
     }
 
-    /// Nodes consuming `t`.
+    /// Nodes consuming `t`, in node order, each once.
     pub fn consumers(&self, t: TensorId) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .filter(|n| n.inputs.contains(&t))
-            .map(|n| n.id)
-            .collect()
+        let mut out: Vec<NodeId> = self.uses(t).collect();
+        // A node's occurrences of `t` are adjacent in the use list.
+        out.dedup();
+        out
+    }
+
+    /// The consuming node of every input occurrence of `t`, in node order:
+    /// a node that reads `t` twice appears twice (what refcounting over
+    /// input occurrences needs).
+    pub fn uses(&self, t: TensorId) -> impl Iterator<Item = NodeId> + '_ {
+        let mut at = self.first_use[t.0 as usize];
+        std::iter::from_fn(move || {
+            let u = self.use_entries.get(at as usize)?;
+            at = u.next;
+            Some(u.node)
+        })
+    }
+
+    /// Appends one input occurrence of `t` by `node` to `t`'s use list. A
+    /// reference to a tensor that does not exist (a forged id, which
+    /// [`crate::validate`] reports) has no list to join and is skipped.
+    fn push_use(&mut self, t: TensorId, node: NodeId) {
+        let i = t.0 as usize;
+        if i >= self.tensors.len() {
+            return;
+        }
+        let at =
+            u32::try_from(self.use_entries.len()).expect("more than u32::MAX input occurrences");
+        self.use_entries.push(Use { node, next: NO_USE });
+        match self.last_use[i] {
+            NO_USE => self.first_use[i] = at,
+            last => self.use_entries[last as usize].next = at,
+        }
+        self.last_use[i] = at;
     }
 
     /// Adds a graph input with a (possibly symbolic) shape annotation.
@@ -240,6 +287,9 @@ impl Graph {
             self.producer[t.0 as usize] = Some(node_id);
             outputs.push(t);
         }
+        for &t in inputs {
+            self.push_use(t, node_id);
+        }
         self.nodes.push(Node {
             id: node_id,
             op,
@@ -318,6 +368,9 @@ impl Graph {
                 }
                 g.producer[t.0 as usize] = Some(id);
             }
+            for &t in &inputs {
+                g.push_use(t, id);
+            }
             g.nodes.push(Node {
                 id,
                 op,
@@ -338,6 +391,8 @@ impl Graph {
         let id = TensorId(self.tensors.len() as u32);
         self.tensors.push(info);
         self.producer.push(None);
+        self.first_use.push(NO_USE);
+        self.last_use.push(NO_USE);
         id
     }
 
@@ -351,7 +406,6 @@ impl Graph {
         let n = self.nodes.len();
         let mut state = vec![0u8; n]; // 0 = white, 1 = gray, 2 = black
         let mut order = Vec::with_capacity(n);
-        let consumers = self.consumer_index();
         // Iterative DFS from each node, post-order, then reverse.
         for start in 0..n {
             if state[start] != 0 {
@@ -372,7 +426,7 @@ impl Graph {
                 stack.push((v, true));
                 // Visit successors (consumers of our outputs).
                 for out in &self.nodes[v].outputs {
-                    for succ in consumers.get(out).into_iter().flatten() {
+                    for succ in self.uses(*out) {
                         let s = succ.0 as usize;
                         if state[s] == 0 {
                             stack.push((s, false));
@@ -385,17 +439,6 @@ impl Graph {
         }
         order.reverse();
         order
-    }
-
-    /// Builds a tensor → consumers index (computed on demand).
-    pub fn consumer_index(&self) -> HashMap<TensorId, Vec<NodeId>> {
-        let mut idx: HashMap<TensorId, Vec<NodeId>> = HashMap::new();
-        for n in &self.nodes {
-            for &i in &n.inputs {
-                idx.entry(i).or_default().push(n.id);
-            }
-        }
-        idx
     }
 
     /// Predecessor nodes of `node` (producers of its inputs), deduplicated,
@@ -412,12 +455,13 @@ impl Graph {
         out
     }
 
-    /// Successor nodes of `node` (consumers of its outputs), deduplicated.
+    /// Successor nodes of `node` (consumers of its outputs), deduplicated:
+    /// output by output, each output's consumers in node order, first
+    /// occurrence kept.
     pub fn successors(&self, node: NodeId) -> Vec<NodeId> {
-        let idx = self.consumer_index();
         let mut out = Vec::new();
         for &o in &self.node(node).outputs {
-            for &s in idx.get(&o).map(Vec::as_slice).unwrap_or(&[]) {
+            for s in self.uses(o) {
                 if !out.contains(&s) {
                     out.push(s);
                 }

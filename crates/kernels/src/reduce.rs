@@ -69,10 +69,11 @@ pub fn reduce(
     let lanes_per_chunk = (LANE_GRAIN_OPS / count.max(1)).max(1);
     sod2_pool::scope_chunks(&mut acc, lanes_per_chunk, |off, chunk| {
         let mut rc = vec![0usize; red_dims.len()];
+        let mut coords = vec![0usize; out_full.len()];
         for (li, a) in chunk.iter_mut().enumerate() {
             // Base input offset of this lane (reduced coords are 0 in
             // `out_full`, so they contribute nothing).
-            let coords = out_ix.coords(off + li);
+            out_ix.coords_into(off + li, &mut coords);
             let base: usize = coords.iter().zip(&in_strides).map(|(c, s)| c * s).sum();
             if count == 0 {
                 continue; // a reduced axis has extent 0: lane keeps `init`

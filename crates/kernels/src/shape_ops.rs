@@ -112,9 +112,10 @@ pub fn transpose(x: &Tensor, perm: &[usize]) -> Result<Tensor, KernelError> {
     macro_rules! permute {
         ($v:expr, $ctor:path) => {{
             let mut out = $v.clone();
+            let mut oc = vec![0usize; dims.len()];
             let mut coords_in = vec![0usize; dims.len()];
             for o in 0..n {
-                let oc = out_ix.coords(o);
+                out_ix.coords_into(o, &mut oc);
                 for (i, &p) in perm.iter().enumerate() {
                     coords_in[p] = oc[i];
                 }
@@ -214,8 +215,9 @@ pub fn slice(x: &Tensor, starts: &[i64], ends: &[i64]) -> Result<Tensor, KernelE
         ($get:ident, $ctor:path, $zero:expr) => {{
             let v = x.$get().map_err(|er| dtype_err("Slice", er.to_string()))?;
             let mut out = vec![$zero; n];
+            let mut c = vec![0usize; rank];
             for (o, slot) in out.iter_mut().enumerate() {
-                let mut c = out_ix.coords(o);
+                out_ix.coords_into(o, &mut c);
                 for i in 0..rank {
                     c[i] += s[i];
                 }
@@ -253,9 +255,10 @@ pub fn pad(x: &Tensor, pads: &[i64], value: f32) -> Result<Tensor, KernelError> 
     let in_ix = Indexer::new(dims);
     let n: usize = out_shape.iter().product();
     let mut out = vec![value; n];
+    let mut oc = vec![0usize; rank];
+    let mut ic = vec![0usize; rank];
     for (o, slot) in out.iter_mut().enumerate() {
-        let oc = out_ix.coords(o);
-        let mut ic = vec![0usize; rank];
+        out_ix.coords_into(o, &mut oc);
         let mut inside = true;
         for i in 0..rank {
             let c = oc[i] as i64 - before[i];
@@ -340,8 +343,9 @@ pub fn tile(x: &Tensor, repeats: &Tensor) -> Result<Tensor, KernelError> {
     let in_ix = Indexer::new(dims);
     let n: usize = out_shape.iter().product();
     let mut out = vec![0f32; n];
+    let mut c = vec![0usize; dims.len()];
     for (o, slot) in out.iter_mut().enumerate() {
-        let mut c = out_ix.coords(o);
+        out_ix.coords_into(o, &mut c);
         for i in 0..dims.len() {
             c[i] %= dims[i].max(1);
         }

@@ -773,6 +773,9 @@ mod tests {
 
     #[test]
     fn cache_round_trip_identical_table() {
+        // Serialized with the obs capture in `warm_load_runs_zero_ga_generations`,
+        // which would otherwise count this test's cache hits.
+        let _serial = sod2_obs::session_guard();
         let dir = tempdir("round-trip");
         let p = DeviceProfile::s888_cpu();
         let (cold, s1) = VersionTable::load_or_tune(&p, 0xC0DE, Some(&dir));
@@ -786,6 +789,7 @@ mod tests {
 
     #[test]
     fn cache_keys_isolate_devices_and_seeds() {
+        let _serial = sod2_obs::session_guard();
         let dir = tempdir("keys");
         let (a, _) = VersionTable::load_or_tune(&DeviceProfile::s888_cpu(), 1, Some(&dir));
         let (b, sb) = VersionTable::load_or_tune(&DeviceProfile::s835_gpu(), 1, Some(&dir));
@@ -798,6 +802,7 @@ mod tests {
 
     #[test]
     fn truncated_cache_file_is_rejected_and_retuned() {
+        let _serial = sod2_obs::session_guard();
         let dir = tempdir("truncated");
         let p = DeviceProfile::s888_cpu();
         let (cold, s1) = VersionTable::load_or_tune(&p, 5, Some(&dir));
@@ -821,6 +826,7 @@ mod tests {
 
     #[test]
     fn garbage_cache_file_is_rejected_and_retuned() {
+        let _serial = sod2_obs::session_guard();
         let dir = tempdir("garbage");
         let p = DeviceProfile::s835_cpu();
         let (cold, s1) = VersionTable::load_or_tune(&p, 8, Some(&dir));
@@ -834,6 +840,7 @@ mod tests {
 
     #[test]
     fn stale_seed_header_is_typed() {
+        let _serial = sod2_obs::session_guard();
         let dir = tempdir("stale");
         let p = DeviceProfile::s888_cpu();
         let (_, s1) = VersionTable::load_or_tune(&p, 3, Some(&dir));

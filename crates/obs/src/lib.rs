@@ -415,6 +415,43 @@ impl Profile {
         total
     }
 
+    /// Self time per span name in one category, in order of first
+    /// appearance: each span's duration minus the durations of the spans
+    /// of the same category directly nested in it on its thread (so a
+    /// stage nested in another stage is not counted twice). With `within`,
+    /// only spans on that span's thread and inside its interval count.
+    pub fn self_ns_by_name(&self, cat: &str, within: Option<&SpanRec>) -> Vec<(String, u64)> {
+        let inside = |s: &SpanRec| {
+            within.is_none_or(|w| {
+                s.tid == w.tid && s.start_ns >= w.start_ns && s.end_ns() <= w.end_ns()
+            })
+        };
+        let mut totals: Vec<(String, u64)> = Vec::new();
+        // Open same-category spans per thread: (end, index into `totals`).
+        let mut open: BTreeMap<u64, Vec<(u64, usize)>> = BTreeMap::new();
+        // `self.spans` is start-sorted with outermost first, so a span's
+        // parent is the innermost still-open span on its thread.
+        for s in self.spans.iter().filter(|s| s.cat == cat && inside(s)) {
+            let stack = open.entry(s.tid).or_default();
+            while stack.last().is_some_and(|&(end, _)| end <= s.start_ns) {
+                stack.pop();
+            }
+            if let Some(&(_, parent)) = stack.last() {
+                totals[parent].1 = totals[parent].1.saturating_sub(s.dur_ns);
+            }
+            let at = match totals.iter().position(|(n, _)| *n == s.name) {
+                Some(at) => at,
+                None => {
+                    totals.push((s.name.clone(), 0));
+                    totals.len() - 1
+                }
+            };
+            totals[at].1 += s.dur_ns;
+            stack.push((s.end_ns(), at));
+        }
+        totals
+    }
+
     /// Number of spans in a category.
     pub fn cat_count(&self, cat: &str) -> usize {
         self.spans.iter().filter(|s| s.cat == cat).count()
@@ -512,6 +549,43 @@ mod tests {
         assert_eq!(a.depth, 0);
         assert_eq!(b.depth, 1);
         assert!(a.start_ns <= b.start_ns && b.end_ns() <= a.end_ns());
+    }
+
+    #[test]
+    fn self_time_excludes_nested_same_category_spans() {
+        let spin = |ms: u64| std::thread::sleep(std::time::Duration::from_millis(ms));
+        let ((), p) = capture(|| {
+            let _outer = span!("c", "build");
+            {
+                let _a = span!("s", "sep");
+                spin(4);
+                let _w = span!("s", "wave");
+                let _k = span!("k", "kernel");
+                spin(4);
+            }
+            let _b = span!("s", "tape");
+            spin(2);
+        });
+        let total = |name: &str| {
+            p.spans
+                .iter()
+                .filter(|s| s.name == name)
+                .map(|s| s.dur_ns)
+                .sum::<u64>()
+        };
+        let selfs = p.self_ns_by_name("s", None);
+        let names: Vec<&str> = selfs.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["sep", "wave", "tape"]);
+        // `wave` nests in `sep`; the kernel span is another category and
+        // stays in `wave`'s self time.
+        assert_eq!(selfs[0].1, total("sep") - total("wave"));
+        assert_eq!(selfs[1].1, total("wave"));
+        assert_eq!(selfs[2].1, total("tape"));
+        let outer = p.spans.iter().find(|s| s.name == "build").unwrap();
+        assert_eq!(p.self_ns_by_name("s", Some(outer)), selfs);
+        let sep = p.spans.iter().find(|s| s.name == "sep").unwrap();
+        let inner = p.self_ns_by_name("s", Some(sep));
+        assert_eq!(inner.len(), 2, "sep and wave only: {inner:?}");
     }
 
     #[test]

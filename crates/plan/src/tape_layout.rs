@@ -35,12 +35,11 @@ pub struct TapeLayout {
 /// every occurrence the runtime would.
 pub fn plan_tape_layout(graph: &Graph, node_order: &[NodeId]) -> TapeLayout {
     let register_count = graph.num_tensors();
-    let consumer_index = graph.consumer_index();
     // Initial remaining-use count per tensor key: consumer *occurrences*
     // plus one for graph outputs.
     let mut remaining = vec![0u32; register_count];
     for t in graph.tensor_ids() {
-        let mut n = consumer_index.get(&t).map(Vec::len).unwrap_or(0);
+        let mut n = graph.uses(t).count();
         if graph.outputs().contains(&t) {
             n += 1; // held to the end of the run
         }

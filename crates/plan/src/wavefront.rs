@@ -49,7 +49,7 @@ impl Default for WavefrontOptions {
 }
 
 /// A static parallel schedule over SEP units.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WavefrontSchedule {
     /// Unit ids per wave; units within a wave are mutually independent and
     /// kept in SEP relative order. Concatenated, the waves form a valid
@@ -100,7 +100,9 @@ pub fn plan_wavefronts(
     // with a tight bound the packing degenerates toward the serial SEP
     // order, with a loose one toward maximal ready sets.
     let n = ug.len();
+    let mut probe = PackingProbe::new(graph, ug, size_of);
     let mut scheduled = vec![false; n];
+    let mut in_wave = vec![false; n];
     let mut remaining: Vec<usize> = unit_order.to_vec();
     let mut waves: Vec<Vec<usize>> = Vec::new();
     let mut splits = 0usize;
@@ -114,28 +116,23 @@ pub fn plan_wavefronts(
                 continue;
             }
             wave.push(u);
+            in_wave[u] = true;
             if wave.len() == 1 {
                 continue; // progress guarantee: first ready unit always in
             }
             // Tentative peak of [packed waves, this wave, rest serialized].
-            let mut sched = waves.clone();
-            sched.push(wave.clone());
-            sched.extend(
-                remaining
-                    .iter()
-                    .filter(|r| !wave.contains(r))
-                    .map(|&r| vec![r]),
-            );
-            let lives = wavefront_lifetimes(graph, ug, &sched, size_of);
-            if peak_live_bytes(&lives) > bound {
+            if probe.peak(waves.len(), &wave, &remaining, &in_wave) > bound {
                 wave.pop();
+                in_wave[u] = false;
                 splits += 1;
             }
         }
+        probe.place(waves.len(), &wave);
         for &u in &wave {
             scheduled[u] = true;
+            in_wave[u] = false;
         }
-        remaining.retain(|u| !wave.contains(u));
+        remaining.retain(|&u| !scheduled[u]);
         waves.push(wave);
     }
 
@@ -159,6 +156,107 @@ pub fn plan_wavefronts(
         max_width,
         splits,
         serial_fallback,
+    }
+}
+
+/// The admission probe of [`plan_wavefronts`]: the wave-granularity peak
+/// of a tentative schedule (packed waves, the wave being packed, every
+/// other remaining unit as a singleton wave), equal to
+/// `peak_live_bytes(&wavefront_lifetimes(..))` of that schedule.
+///
+/// The tensor table (size, producer unit, consumer units, output flag) is
+/// built once, so `size_of` runs once per tensor; a probe reassigns the
+/// steps of the unpacked units in a reused array and sweeps a reused
+/// difference array: O(units + tensors), no allocation.
+struct PackingProbe {
+    tensors: Vec<ProbeTensor>,
+    /// Consumer units of every tensor, flat ([`ProbeTensor::consumers`]).
+    consumers: Vec<usize>,
+    /// Wave index of every unit in the schedule being probed.
+    step: Vec<usize>,
+    /// Live-byte change entering each step (wrapping, as in
+    /// `sod2_mem::peak_live_bytes`).
+    delta: Vec<usize>,
+}
+
+/// One materialized tensor in a [`PackingProbe`].
+struct ProbeTensor {
+    size: usize,
+    producer: usize,
+    consumers: std::ops::Range<usize>,
+    is_output: bool,
+}
+
+impl PackingProbe {
+    fn new(graph: &Graph, ug: &UnitGraph, size_of: &dyn Fn(TensorId) -> usize) -> Self {
+        let mut consumers = Vec::new();
+        let tensors = ug
+            .producer
+            .iter()
+            .map(|(t, &producer)| {
+                let start = consumers.len();
+                consumers.extend(ug.consumers.get(t).into_iter().flatten().copied());
+                ProbeTensor {
+                    size: size_of(*t),
+                    producer,
+                    consumers: start..consumers.len(),
+                    is_output: graph.outputs().contains(t),
+                }
+            })
+            .collect();
+        PackingProbe {
+            tensors,
+            consumers,
+            step: vec![0; ug.len()],
+            delta: vec![0; ug.len() + 2],
+        }
+    }
+
+    /// Fixes the steps of a packed wave's units.
+    fn place(&mut self, step: usize, wave: &[usize]) {
+        for &u in wave {
+            self.step[u] = step;
+        }
+    }
+
+    /// Peak live bytes of `packed` placed waves, then `wave`, then every
+    /// unit of `remaining` outside the wave (`in_wave`) as a singleton.
+    fn peak(
+        &mut self,
+        packed: usize,
+        wave: &[usize],
+        remaining: &[usize],
+        in_wave: &[bool],
+    ) -> usize {
+        self.place(packed, wave);
+        let mut last_step = packed;
+        for &u in remaining {
+            if !in_wave[u] {
+                last_step += 1;
+                self.step[u] = last_step;
+            }
+        }
+        let delta = &mut self.delta[..last_step + 2];
+        delta.fill(0);
+        for t in &self.tensors {
+            let def = self.step[t.producer];
+            let last_use = self.consumers[t.consumers.clone()]
+                .iter()
+                .map(|&c| self.step[c])
+                .chain(t.is_output.then_some(last_step))
+                .max()
+                .unwrap_or(def);
+            if def <= last_use {
+                delta[def] = delta[def].wrapping_add(t.size);
+                delta[last_use + 1] = delta[last_use + 1].wrapping_sub(t.size);
+            }
+        }
+        let (mut live, mut peak) = (0usize, 0usize);
+        for &d in &delta[..=last_step] {
+            live = live.wrapping_add(d);
+            peak = peak.max(live);
+        }
+        peak
     }
 }
 

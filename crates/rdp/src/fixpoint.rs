@@ -6,13 +6,14 @@
 //! per-node transfer functions relax a per-tensor fact vector until nothing
 //! changes. The engine owns the iteration policy — full sweeps in
 //! depth-first order (the paper's Alg. 1) or a successor-driven worklist —
-//! plus the convergence backstop and an optional termination audit that
-//! catches non-monotone transfer functions instead of looping forever on
-//! them.
+//! plus the convergence backstop and the collection of termination-audit
+//! findings, which report non-monotone transfer functions instead of
+//! looping forever on them.
 //!
-//! A [`System`] supplies the state, the per-node relaxation, and (optionally)
-//! a lattice-order audit; [`solve`] / [`solve_observed`] drive it to the
-//! fixpoint and report iteration statistics.
+//! A [`System`] supplies the state, the per-node relaxation, and
+//! (optionally) the lattice-order violations its writes made;
+//! [`solve`] / [`solve_observed`] drive it to the fixpoint and report
+//! iteration statistics.
 
 use sod2_ir::{Graph, NodeId};
 use std::collections::VecDeque;
@@ -20,7 +21,7 @@ use std::collections::VecDeque;
 /// A fixpoint problem: per-graph state plus a per-node relaxation step.
 pub trait System {
     /// The full analysis state (typically one fact per tensor).
-    type State: Clone;
+    type State;
 
     /// The initialized state before any transfer runs (lattice seeds:
     /// inputs, constants, everything else at the identity element).
@@ -36,11 +37,14 @@ pub trait System {
         false
     }
 
-    /// Termination audit: compares the state before and after one
-    /// relaxation round and reports every fact that moved *against* the
-    /// lattice order (a non-monotone transfer — the one bug class that can
-    /// make chaotic iteration diverge). Empty means clean.
-    fn audit(&self, _graph: &Graph, _prev: &Self::State, _next: &Self::State) -> Vec<String> {
+    /// Termination audit: every fact `relax` wrote *against* the lattice
+    /// order since the last call (a non-monotone transfer — the one bug
+    /// class that can make chaotic iteration diverge). A system checks
+    /// each fact where it writes it, against the fact it replaces, so the
+    /// audit costs one comparison per write. The engine drains this after
+    /// every relaxation round into [`FixpointStats::violations`]. Empty
+    /// means clean.
+    fn take_violations(&mut self) -> Vec<String> {
         Vec::new()
     }
 }
@@ -66,9 +70,6 @@ pub struct FixpointOptions {
     /// Convergence backstop: panic after this many iterations (sweeps or
     /// pops). The lattice structure rules this out for monotone systems.
     pub max_iterations: usize,
-    /// Run the [`System::audit`] hook after every relaxation round and
-    /// collect the violations instead of silently iterating on.
-    pub audit: bool,
     /// Label used in the divergence panic message.
     pub label: &'static str,
 }
@@ -78,7 +79,6 @@ impl Default for FixpointOptions {
         FixpointOptions {
             strategy: Strategy::Worklist,
             max_iterations: 10_000,
-            audit: false,
             label: "fixpoint",
         }
     }
@@ -91,8 +91,9 @@ pub struct FixpointStats {
     pub iterations: usize,
     /// Total `relax` calls that reported a change.
     pub changes: usize,
-    /// Monotonicity violations found by the audit (empty when the audit is
-    /// off or every transfer respected the lattice order).
+    /// Monotonicity violations found by the system's termination audit
+    /// ([`System::take_violations`]; empty when every transfer respected
+    /// the lattice order).
     pub violations: Vec<String>,
 }
 
@@ -136,16 +137,13 @@ pub fn solve_observed<S: System>(
                     opts.label,
                     opts.max_iterations
                 );
-                let prev = opts.audit.then(|| state.clone());
                 for &nid in &order {
                     if sys.relax(graph, nid, &mut state) {
                         changed = true;
                         stats.changes += 1;
                     }
                 }
-                if let Some(prev) = prev {
-                    stats.violations.extend(sys.audit(graph, &prev, &state));
-                }
+                stats.violations.extend(sys.take_violations());
                 observe(&state, stats.iterations);
             }
         }
@@ -164,12 +162,8 @@ pub fn solve_observed<S: System>(
                     opts.label,
                     opts.max_iterations
                 );
-                let prev = opts.audit.then(|| state.clone());
                 if sys.relax(graph, nid, &mut state) {
                     stats.changes += 1;
-                    if let Some(prev) = prev {
-                        stats.violations.extend(sys.audit(graph, &prev, &state));
-                    }
                     let mut enqueue = |n: NodeId| {
                         if !queued[n.0 as usize] {
                             queued[n.0 as usize] = true;
@@ -185,6 +179,7 @@ pub fn solve_observed<S: System>(
                         }
                     }
                 }
+                stats.violations.extend(sys.take_violations());
             }
         }
     }
@@ -223,21 +218,25 @@ mod tests {
             }
             changed
         }
-        fn audit(&self, _g: &Graph, prev: &Vec<usize>, next: &Vec<usize>) -> Vec<String> {
-            prev.iter()
-                .zip(next)
-                .enumerate()
-                .filter(|(_, (p, n))| n < p)
-                .map(|(i, (p, n))| format!("tensor {i} descended {p} -> {n}"))
-                .collect()
-        }
     }
 
     /// Deliberately non-monotone: flips a fact up and back down forever —
     /// the audit must name it (the cap stops the loop in the sweep driver).
+    /// Bidirectional, so the worklist revisits a predecessor and flips its
+    /// output back down too.
     struct Flapping {
         flips: usize,
         limit: usize,
+        found: Vec<String>,
+    }
+    impl Flapping {
+        fn new(limit: usize) -> Self {
+            Flapping {
+                flips: 0,
+                limit,
+                found: Vec::new(),
+            }
+        }
     }
     impl System for Flapping {
         type State = Vec<usize>;
@@ -245,22 +244,24 @@ mod tests {
             vec![0; graph.num_tensors()]
         }
         fn relax(&mut self, graph: &Graph, nid: NodeId, state: &mut Vec<usize>) -> bool {
-            let node = graph.node(nid);
-            let o = node.outputs[0].0 as usize;
+            let o = graph.node(nid).outputs[0].0 as usize;
             if self.flips >= self.limit {
                 return false;
             }
             self.flips += 1;
-            state[o] = if state[o] == 0 { 1 } else { 0 };
+            let next = if state[o] == 0 { 1 } else { 0 };
+            if next < state[o] {
+                self.found
+                    .push(format!("tensor {o} descended {} -> {next}", state[o]));
+            }
+            state[o] = next;
             true
         }
-        fn audit(&self, _g: &Graph, prev: &Vec<usize>, next: &Vec<usize>) -> Vec<String> {
-            prev.iter()
-                .zip(next)
-                .enumerate()
-                .filter(|(_, (p, n))| n < p)
-                .map(|(i, (p, n))| format!("tensor {i} descended {p} -> {n}"))
-                .collect()
+        fn bidirectional(&self) -> bool {
+            true
+        }
+        fn take_violations(&mut self) -> Vec<String> {
+            std::mem::take(&mut self.found)
         }
     }
 
@@ -294,21 +295,24 @@ mod tests {
 
     #[test]
     fn audit_catches_non_monotone_transfer() {
-        let g = chain(1);
-        let (_, stats) = solve(
-            &g,
-            &mut Flapping { flips: 0, limit: 4 },
-            &FixpointOptions {
-                strategy: Strategy::Sweeps,
-                audit: true,
-                ..FixpointOptions::default()
-            },
-        );
-        assert!(
-            stats.violations.iter().any(|v| v.contains("descended")),
-            "audit must flag the descent: {:?}",
-            stats.violations
-        );
+        let g = chain(2);
+        for strategy in [Strategy::Sweeps, Strategy::Worklist] {
+            let mut sys = Flapping::new(4);
+            let (_, stats) = solve(
+                &g,
+                &mut sys,
+                &FixpointOptions {
+                    strategy,
+                    ..FixpointOptions::default()
+                },
+            );
+            assert!(
+                stats.violations.iter().any(|v| v.contains("descended")),
+                "{strategy:?} audit must flag the descent: {:?}",
+                stats.violations
+            );
+            assert!(sys.found.is_empty(), "every finding drained");
+        }
     }
 
     #[test]
@@ -317,10 +321,7 @@ mod tests {
         let g = chain(1);
         let _ = solve(
             &g,
-            &mut Flapping {
-                flips: 0,
-                limit: usize::MAX,
-            },
+            &mut Flapping::new(usize::MAX),
             &FixpointOptions {
                 strategy: Strategy::Sweeps,
                 max_iterations: 8,

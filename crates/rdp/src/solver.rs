@@ -191,7 +191,6 @@ fn analyze_inner(graph: &Graph, record_trace: bool) -> (RdpResult, RdpReport, Rd
     let opts = FixpointOptions {
         strategy: Strategy::Sweeps,
         max_iterations: MAX_ITERATIONS,
-        audit: false,
         label: "RDP",
     };
     let mut trace = RdpTrace::default();

@@ -65,13 +65,21 @@ impl Indexer {
     }
 
     /// Coordinates of a flat offset.
-    pub fn coords(&self, mut offset: usize) -> Vec<usize> {
+    pub fn coords(&self, offset: usize) -> Vec<usize> {
         let mut out = vec![0; self.shape.len()];
-        for (i, s) in self.strides.iter().enumerate() {
-            out[i] = offset / s;
+        self.coords_into(offset, &mut out);
+        out
+    }
+
+    /// Coordinates of a flat offset, written into `out` (one slot per
+    /// axis): the allocation-free form of [`Indexer::coords`] for loops
+    /// over every element.
+    pub fn coords_into(&self, mut offset: usize, out: &mut [usize]) {
+        debug_assert_eq!(out.len(), self.shape.len());
+        for (c, s) in out.iter_mut().zip(&self.strides) {
+            *c = offset / s;
             offset %= s;
         }
-        out
     }
 }
 

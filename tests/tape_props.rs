@@ -159,6 +159,9 @@ proptest! {
                                       arms in arms_strategy(),
                                       sel_raw in any::<u8>(),
                                       n in 1usize..6, c in 2usize..5, seed in 0u64..1000) {
+        // Fault plans are process-global: keep the fault-parity tests'
+        // injected faults out of these runs.
+        let _x = sod2_faults::exclusive();
         let g = build_graph(c, &chains, &folds, &arms);
         sod2_ir::validate(&g).expect("generated graph valid");
         let sel = (sel_raw as usize % arms.len()) as i64;
@@ -231,6 +234,7 @@ proptest! {
     fn rhs_chain_matches_reference_bitwise(
         steps in proptest::collection::vec((any::<bool>(), any::<u8>()), 1..5),
         n in 1usize..6, c in 2usize..5, seed in 0u64..1000) {
+        let _x = sod2_faults::exclusive();
         let g = rhs_chain_graph(c, &steps);
         sod2_ir::validate(&g).expect("generated graph valid");
         let inputs = [input_for(n, c, seed)];
@@ -291,6 +295,7 @@ fn engine_mode(g: &Graph, wavefront: bool, opts: Sod2Options) -> Sod2Engine {
 
 #[test]
 fn deadline_parity_across_modes() {
+    let _x = sod2_faults::exclusive();
     let (g, inputs) = fault_graph();
     for wavefront in [false, true] {
         let opts = Sod2Options {
@@ -310,6 +315,7 @@ fn deadline_parity_across_modes() {
 
 #[test]
 fn budget_parity_across_modes() {
+    let _x = sod2_faults::exclusive();
     let (g, inputs) = fault_graph();
     for wavefront in [false, true] {
         let opts = Sod2Options {
